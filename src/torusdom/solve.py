@@ -4,9 +4,10 @@ Four engines, each certifying optimality a different way:
 
 * an enumeration oracle for tiny grids (every candidate of each size in
   slot order, so minimality is exhaustive and certificates canonical);
-* a cyclic profile dynamic program sweeping rows, carrying per-row
-  membership, outstanding-domination and (for the paired variant)
-  unmatched-member masks, with wraparound closed by boundary seeds;
+* one cyclic row-sweep dynamic program for plain, total and paired
+  sets, carrying per-row membership, outstanding-domination and
+  unmatched-member masks (the last always empty unless paired), with
+  wraparound closed by boundary seeds;
 * a branch-and-bound over disjoint adjacent pairs for paired sets on
   grids too wide for the DP, with iterative deepening from the degree
   bound so exhaustion below the answer is the optimality proof;
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .construct import best_upper_witness
-from .errors import InstanceTooLargeError, InvalidInputError
+from .errors import CertificateError, InstanceTooLargeError, InvalidInputError
 from .formulas import lower_bound_regular
 from .matching import maximum_matching
 from .torus import TorusGraph, VertexSet, make_torus
@@ -64,7 +65,8 @@ def _result(
     method: SolveMethod,
     t0: float,
 ) -> SolveResult:
-    assert len(certificate) == value and satisfies(g, certificate, kind)
+    if len(certificate) != value or not satisfies(g, certificate, kind):
+        raise CertificateError(f"{method.value} {kind.value} certificate of value {value} is invalid")
     return SolveResult(value, certificate, kind, method, time.perf_counter() - t0)
 
 
@@ -162,124 +164,26 @@ def _rot_right(c: int, w: int, full: int) -> int:
     return (c >> 1) | ((c & 1) << (w - 1))
 
 
-def _cyc(c: int, w: int, full: int) -> int:
-    return _rot_left(c, w, full) | _rot_right(c, w, full)
+def _subsets(mask: int) -> list[int]:
+    """Every submask of mask, in ascending order."""
+    out = [0]
+    sub = 0
+    while sub != mask:
+        sub = (sub - mask) & mask
+        out.append(sub)
+    return out
 
 
-@functools.lru_cache(maxsize=None)
-def _supersets(w: int) -> tuple[tuple[int, ...], ...]:
-    full = (1 << w) - 1
-    table = []
-    for u in range(full + 1):
-        free = full & ~u
-        subs = [0]
-        b = free
-        while True:
-            subs.append(b)
-            if b == 0:
-                break
-            b = (b - 1) & free
-        table.append(tuple(sorted(set(u | s for s in subs))))
-    return tuple(table)
+def _rows_to_set(rows: list[int], length: int, width: int, transposed: bool) -> VertexSet:
+    """The set with member mask rows[i - 1] on row i, in the caller's orientation."""
+    verts = [(i, j) for i, c in enumerate(rows, 1) for j in range(1, width + 1) if c >> (j - 1) & 1]
+    found = VertexSet.from_vertices(make_torus(length, width).dims, verts)
+    return found.transposed() if transposed else found
 
 
 def _witness_upper(n: int, m: int, kind: DominationKind) -> VertexSet:
     catalog_kind = DominationKind.PAIRED if kind is DominationKind.PAIRED else DominationKind.TOTAL
     return best_upper_witness(n, m, catalog_kind).vertex_set
-
-
-def solve_profile_dp(n: int, m: int, kind: DominationKind) -> SolveResult:
-    """Exact plain or total minimum via a cyclic row-sweep DP.
-
-    State after each row: (membership mask, mask of that row's vertices
-    still needing a dominator from the next row).  Wraparound is closed
-    by enumerating boundary seeds: the first row's membership together
-    with a guess of which of its needs the last row will satisfy.  The
-    first row of some rotated optimum has at most floor(best witness /
-    rows) members, so seeds are capped there.
-    """
-    t0 = time.perf_counter()
-    if kind not in (DominationKind.PLAIN, DominationKind.TOTAL):
-        raise InvalidInputError(f"profile DP handles plain or total, got {kind.value}")
-    length, width, transposed = _orient(n, m)
-    if width > PROFILE_WIDTH_CAP:
-        raise InstanceTooLargeError(f"profile DP width cap is {PROFILE_WIDTH_CAP}, got {width}")
-
-    full = (1 << width) - 1
-    total = kind is DominationKind.TOTAL
-
-    def need(c: int) -> int:
-        return full if total else full & ~c
-
-    witness = _witness_upper(n, m, kind)
-    ub = len(witness)
-    seed_cap = ub // length
-    supersets = _supersets(width)
-    cyc = [_cyc(c, width, full) for c in range(full + 1)]
-    pop = [c.bit_count() for c in range(full + 1)]
-
-    best: Optional[tuple[int, list[int]]] = None
-    for c1 in range(full + 1):
-        if pop[c1] > seed_cap:
-            continue
-        pending = need(c1) & ~cyc[c1]
-        # enumerate which part of the first row's needs the second row covers
-        u_choices = []
-        b = pending
-        while True:
-            u_choices.append(pending & ~b)
-            if b == 0:
-                break
-            b = (b - 1) & pending
-        for u1 in sorted(set(u_choices)):
-            r1 = pending & ~u1
-            # layers[t] maps state -> (cost, previous state)
-            layer: dict[tuple[int, int], tuple[int, Optional[tuple[int, int]]]] = {
-                (c1, u1): (pop[c1], None)
-            }
-            layers = [layer]
-            for _ in range(length - 1):
-                nxt: dict[tuple[int, int], tuple[int, Optional[tuple[int, int]]]] = {}
-                for state in sorted(layer):
-                    cost = layer[state][0]
-                    c, u = state
-                    for c2 in supersets[u]:
-                        u2 = need(c2) & ~(cyc[c2] | c)
-                        cand = cost + pop[c2]
-                        if cand > ub:
-                            continue
-                        key = (c2, u2)
-                        if key not in nxt or cand < nxt[key][0]:
-                            nxt[key] = (cand, state)
-                layer = nxt
-                layers.append(layer)
-            for state in sorted(layer):
-                c_last, u_last = state
-                if u_last & ~c1 or r1 & ~c_last:
-                    continue
-                cost = layer[state][0]
-                if best is not None and cost >= best[0]:
-                    continue
-                rows = []
-                cur: Optional[tuple[int, int]] = state
-                for t in range(length - 1, -1, -1):
-                    rows.append(cur[0])
-                    cur = layers[t][cur][1]
-                best = (cost, rows[::-1])
-
-    assert best is not None and best[0] <= ub
-    value, rows = best
-    verts = []
-    for i, c in enumerate(rows, start=1):
-        for j in range(1, width + 1):
-            if c >> (j - 1) & 1:
-                verts.append((i, j))
-    dims_lw = make_torus(length, width).dims
-    cert = VertexSet.from_vertices(dims_lw, verts)
-    if transposed:
-        cert = cert.transposed()
-    g = make_torus(n, m)
-    return _result(g, value, cert, kind, SolveMethod.PROFILE_DP, t0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -303,98 +207,101 @@ def _cycle_leftovers(w: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(rec(mask))) for mask in range(full + 1))
 
 
-def solve_paired_dp(n: int, m: int) -> SolveResult:
-    """Exact paired minimum via the profile DP extended with matching state.
+def _row_sweep(n: int, m: int, kind: DominationKind, cap: int) -> SolveResult:
+    """Exact plain, total or paired minimum via a cyclic row-sweep DP.
 
-    Rows are swept as in the plain DP, with a third mask tracking
-    members still awaiting a partner; those must be consumed by
-    same-rung members of the next row, while fresh members may pair up
-    along their own row's ring edges.  Boundary seeds additionally fix
-    which first-row members the last row will claim.
+    The state after each row is (membership mask, mask of that row's
+    vertices still needing a dominator from the next row, mask of members
+    still awaiting a partner from the same rung of the next row).  Fresh
+    paired members may also pair along their own row's ring edges; plain
+    and paired members need no outside dominator, and for plain and total
+    sets the unmatched mask stays 0.  Wraparound is closed by boundary
+    seeds: the first row's membership, a guess of which of its needs the
+    second row meets (the last row must meet the rest), and for paired
+    sets the first-row members the last row claims as partners.  Some
+    rotated optimum has at most floor(witness size / rows) members in its
+    first row, so seeds are capped there; costs are pruned at the witness
+    size, and ties keep the first state in sorted order.
     """
     t0 = time.perf_counter()
+    paired = kind is DominationKind.PAIRED
     length, width, transposed = _orient(n, m)
-    if width > PAIRED_WIDTH_CAP:
-        raise InstanceTooLargeError(f"paired DP width cap is {PAIRED_WIDTH_CAP}, got {width}")
+    if width > cap:
+        engine = "paired DP" if paired else "profile DP"
+        raise InstanceTooLargeError(f"{engine} width cap is {cap}, got {width}")
 
     full = (1 << width) - 1
-    supersets = _supersets(width)
-    leftovers = _cycle_leftovers(width)
-    cyc = [_cyc(c, width, full) for c in range(full + 1)]
+    total = kind is DominationKind.TOTAL
+    # need[c]: vertices of a row with members c that no member of that row dominates
+    ring = [_rot_left(c, width, full) | _rot_right(c, width, full) for c in range(full + 1)]
+    need = [(full if total else full & ~c) & ~ring[c] for c in range(full + 1)]
     pop = [c.bit_count() for c in range(full + 1)]
+    supersets = [[u | s for s in _subsets(full & ~u)] for u in range(full + 1)]
+    leftovers = _cycle_leftovers(width) if paired else ((0,),) * (full + 1)
 
-    witness = _witness_upper(n, m, DominationKind.PAIRED)
-    ub = len(witness)
-    seed_cap = ub // length
-
-    def subsets(mask: int) -> list[int]:
-        out = []
-        b = mask
-        while True:
-            out.append(mask & ~b)
-            if b == 0:
-                break
-            b = (b - 1) & mask
-        return sorted(set(out))
-
+    ub = len(_witness_upper(n, m, kind))
+    seeds = [
+        (c1, u1, x1, w1)
+        for c1 in range(full + 1) if pop[c1] <= ub // length
+        for u1 in _subsets(need[c1])
+        for x1 in (_subsets(c1) if paired else (0,))
+        for w1 in leftovers[c1 & ~x1]
+    ]
     State = tuple[int, int, int]  # membership, pending domination, unmatched
     best: Optional[tuple[int, list[int]]] = None
-    for c1 in range(full + 1):
-        if pop[c1] > seed_cap:
-            continue
-        pending = full & ~c1 & ~cyc[c1]
-        for u1 in subsets(pending):
-            r1 = pending & ~u1
-            for x1 in subsets(c1):
-                rest1 = c1 & ~x1
-                for w1 in leftovers[rest1]:
-                    layer: dict[State, tuple[int, Optional[State]]] = {
-                        (c1, u1, w1): (pop[c1], None)
-                    }
-                    layers = [layer]
-                    for _ in range(length - 1):
-                        nxt: dict[State, tuple[int, Optional[State]]] = {}
-                        for state in sorted(layer):
-                            cost = layer[state][0]
-                            c, u, wmask = state
-                            for c2 in supersets[u | wmask]:
-                                cand = cost + pop[c2]
-                                if cand > ub:
-                                    continue
-                                u2 = full & ~c2 & ~(cyc[c2] | c)
-                                rest = c2 & ~wmask
-                                for w2 in leftovers[rest]:
-                                    key = (c2, u2, w2)
-                                    if key not in nxt or cand < nxt[key][0]:
-                                        nxt[key] = (cand, state)
-                        layer = nxt
-                        layers.append(layer)
-                    for state in sorted(layer):
-                        c_last, u_last, w_last = state
-                        if u_last & ~c1 or r1 & ~c_last or w_last != x1:
-                            continue
-                        cost = layer[state][0]
-                        if best is not None and cost >= best[0]:
-                            continue
-                        rows = []
-                        cur: Optional[State] = state
-                        for t in range(length - 1, -1, -1):
-                            rows.append(cur[0])
-                            cur = layers[t][cur][1]
-                        best = (cost, rows[::-1])
+    for c1, u1, x1, w1 in seeds:
+        # layers[t] maps state -> (cost, previous state)
+        layer: dict[State, tuple[int, Optional[State]]] = {(c1, u1, w1): (pop[c1], None)}
+        layers = [layer]
+        for _ in range(length - 1):
+            nxt: dict[State, tuple[int, Optional[State]]] = {}
+            for state in sorted(layer):
+                cost = layer[state][0]
+                c, u, wmask = state
+                for c2 in supersets[u | wmask]:
+                    cand = cost + pop[c2]
+                    if cand > ub:
+                        continue
+                    u2 = need[c2] & ~c
+                    for w2 in leftovers[c2 & ~wmask]:
+                        key = (c2, u2, w2)
+                        old = nxt.get(key)
+                        if old is None or cand < old[0]:
+                            nxt[key] = (cand, state)
+            layer = nxt
+            layers.append(layer)
+        r1 = need[c1] & ~u1  # first-row needs the last row must meet
+        for state in sorted(layer):
+            c_last, u_last, w_last = state
+            if u_last & ~c1 or r1 & ~c_last or w_last != x1:
+                continue
+            cost = layer[state][0]
+            if best is not None and cost >= best[0]:
+                continue
+            rows = []
+            cur: Optional[State] = state
+            for t in range(length - 1, -1, -1):
+                rows.append(cur[0])
+                cur = layers[t][cur][1]
+            best = (cost, rows[::-1])
 
-    assert best is not None and best[0] <= ub
+    if best is None or best[0] > ub:
+        raise CertificateError(f"no {kind.value} set on {n}x{m} within the witness size {ub}")
     value, rows = best
-    verts = []
-    for i, c in enumerate(rows, start=1):
-        for j in range(1, width + 1):
-            if c >> (j - 1) & 1:
-                verts.append((i, j))
-    cert = VertexSet.from_vertices(make_torus(length, width).dims, verts)
-    if transposed:
-        cert = cert.transposed()
-    g = make_torus(n, m)
-    return _result(g, value, cert, DominationKind.PAIRED, SolveMethod.PROFILE_DP, t0)
+    cert = _rows_to_set(rows, length, width, transposed)
+    return _result(make_torus(n, m), value, cert, kind, SolveMethod.PROFILE_DP, t0)
+
+
+def solve_profile_dp(n: int, m: int, kind: DominationKind) -> SolveResult:
+    """Exact plain or total minimum via the row-sweep DP (`_row_sweep`)."""
+    if kind not in (DominationKind.PLAIN, DominationKind.TOTAL):
+        raise InvalidInputError(f"profile DP handles plain or total, got {kind.value}")
+    return _row_sweep(n, m, kind, PROFILE_WIDTH_CAP)
+
+
+def solve_paired_dp(n: int, m: int) -> SolveResult:
+    """Exact paired minimum via the row-sweep DP (`_row_sweep`)."""
+    return _row_sweep(n, m, DominationKind.PAIRED, PAIRED_WIDTH_CAP)
 
 
 def _paired_search(n: int, m: int, incumbent: VertexSet, t0: float) -> SolveResult:
@@ -445,7 +352,8 @@ def _paired_search(n: int, m: int, incumbent: VertexSet, t0: float) -> SolveResu
     lo = lower_bound_regular(n, m)
     lo += lo % 2
     hi = len(incumbent)
-    assert hi % 2 == 0
+    if hi % 2:
+        raise CertificateError(f"paired incumbent on {n}x{m} has odd size {hi}")
     for k in range(lo, hi, 2):
         found = exists(k // 2)
         if found is not None:
@@ -516,17 +424,9 @@ def find_efficient_tds(n: int, m: int) -> Optional[VertexSet]:
                 _rot_left(first, width, full), _rot_right(first, width, full), last, cols[1]
             ):
                 continue
-            verts = [
-                (i, j)
-                for i, c in enumerate(cols, start=1)
-                for j in range(1, width + 1)
-                if c >> (j - 1) & 1
-            ]
-            found = VertexSet.from_vertices(make_torus(length, width).dims, verts)
-            if transposed:
-                found = found.transposed()
-            g = make_torus(n, m)
-            assert len(found) == n * m // 4 and is_efficient_total(g, found)
+            found = _rows_to_set(cols, length, width, transposed)
+            if len(found) != n * m // 4 or not is_efficient_total(make_torus(n, m), found):
+                raise CertificateError(f"march on {n}x{m} built a set that is not efficient")
             return found
     return None
 

@@ -1,8 +1,9 @@
+import importlib
 import itertools
 
 import pytest
 
-from torusdom.errors import InstanceTooLargeError, InvalidInputError
+from torusdom.errors import CertificateError, InstanceTooLargeError, InvalidInputError
 from torusdom.formulas import gamma_p_m3, gamma_t_m3, gamma_tp_m4, lower_bound_regular
 from torusdom.solve import (
     ORACLE_AUTO_CAP,
@@ -200,6 +201,35 @@ def test_solutions_are_deterministic():
     e = solve_oracle(4, 4, PAIRED)
     f = solve_oracle(4, 4, PAIRED)
     assert e.certificate == f.certificate
+
+
+# (value, certificate mask) of the row-sweep DP, recorded before its plain,
+# total and paired variants shared one kernel; ties must still break alike.
+@pytest.mark.parametrize(
+    "n,m,kind,value,mask",
+    [
+        (8, 5, PLAIN, 10, 0xE049012060),
+        (10, 4, TOTAL, 12, 0xF0C030C030),
+        (3, 10, TOTAL, 8, 0x210840C6),
+        (9, 6, PLAIN, 13, 0x180B0101602901),
+        (9, 4, PAIRED, 10, 0xC030C0330),
+        (7, 5, PAIRED, 10, 0x781121220),
+    ],
+)
+def test_dp_certificates_are_pinned(n, m, kind, value, mask):
+    res = solve_paired_dp(n, m) if kind is PAIRED else solve_profile_dp(n, m, kind)
+    assert (res.value, res.certificate.mask) == (value, mask)
+
+
+def test_dp_rejects_invalid_certificate(monkeypatch):
+    # the check must raise, not assert, so that it also runs under python -O
+    # the package attribute torusdom.solve is the function, so fetch the module
+    module = importlib.import_module("torusdom.solve")
+    monkeypatch.setattr(module, "satisfies", lambda g, d, kind: False)
+    with pytest.raises(CertificateError):
+        solve_profile_dp(6, 4, TOTAL)
+    with pytest.raises(CertificateError):
+        solve_paired_dp(6, 4)
 
 
 def test_efficient_sets_exist_exactly_when_expected():
