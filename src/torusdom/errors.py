@@ -34,4 +34,4 @@ class InstanceTooLargeError(TorusDomError):
 
 
 class CertificateError(TorusDomError):
-    """Malformed or inconsistent certificate file."""
+    """Malformed or inconsistent certificate, read from a file or computed."""

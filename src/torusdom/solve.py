@@ -7,7 +7,9 @@ Four engines, each certifying optimality a different way:
 * one cyclic row-sweep dynamic program for plain, total and paired
   sets, carrying per-row membership, outstanding-domination and
   unmatched-member masks (the last always empty unless paired), with
-  wraparound closed by boundary seeds;
+  wraparound closed by boundary seeds, one per orbit of the width
+  ring's rotations and reflections, and costs pruned against the best
+  set found so far;
 * a branch-and-bound over disjoint adjacent pairs for paired sets on
   grids too wide for the DP, with iterative deepening from the degree
   bound so exhaustion below the answer is the optimality proof;
@@ -220,8 +222,21 @@ def _row_sweep(n: int, m: int, kind: DominationKind, cap: int) -> SolveResult:
     second row meets (the last row must meet the rest), and for paired
     sets the first-row members the last row claims as partners.  Some
     rotated optimum has at most floor(witness size / rows) members in its
-    first row, so seeds are capped there; costs are pruned at the witness
-    size, and ties keep the first state in sorted order.
+    first row, so seeds are capped there.  Ties keep the first state in
+    sorted order.
+
+    Two prunes leave every value and certificate as they would be
+    without them.  Seeds run in lexicographic order, and the best set
+    changes only on a strict improvement, so the certificate comes from
+    the first seed s* that reaches the optimum.  A seed is run only if it
+    is the least of its orbit under the ring's w rotations and w
+    reflections, applied to all four seed masks at once; each such map,
+    applied to every row, is a torus automorphism, so every image of s*
+    reaches the optimum too, and s* is kept.  Costs are pruned above an
+    incumbent bound: the witness size, then one less than the best set
+    found.  A pruned state costs more than the optimum, so it is never a
+    back-pointer on an optimal path: the states of s* that cost at most
+    the optimum keep their costs and back-pointers.
     """
     t0 = time.perf_counter()
     paired = kind is DominationKind.PAIRED
@@ -239,6 +254,12 @@ def _row_sweep(n: int, m: int, kind: DominationKind, cap: int) -> SolveResult:
     supersets = [[u | s for s in _subsets(full & ~u)] for u in range(full + 1)]
     leftovers = _cycle_leftovers(width) if paired else ((0,),) * (full + 1)
 
+    # images[k][c]: mask c under the k-th of the ring's w rotations and w reflections
+    images = [
+        [sum(1 << (r + s * j) % width for j in range(width) if c >> j & 1) for c in range(full + 1)]
+        for r in range(width)
+        for s in (1, -1)
+    ]
     ub = len(_witness_upper(n, m, kind))
     seeds = [
         (c1, u1, x1, w1)
@@ -246,7 +267,9 @@ def _row_sweep(n: int, m: int, kind: DominationKind, cap: int) -> SolveResult:
         for u1 in _subsets(need[c1])
         for x1 in (_subsets(c1) if paired else (0,))
         for w1 in leftovers[c1 & ~x1]
+        if all((im[c1], im[u1], im[x1], im[w1]) >= (c1, u1, x1, w1) for im in images)
     ]
+    bound = ub
     State = tuple[int, int, int]  # membership, pending domination, unmatched
     best: Optional[tuple[int, list[int]]] = None
     for c1, u1, x1, w1 in seeds:
@@ -260,7 +283,7 @@ def _row_sweep(n: int, m: int, kind: DominationKind, cap: int) -> SolveResult:
                 c, u, wmask = state
                 for c2 in supersets[u | wmask]:
                     cand = cost + pop[c2]
-                    if cand > ub:
+                    if cand > bound:
                         continue
                     u2 = need[c2] & ~c
                     for w2 in leftovers[c2 & ~wmask]:
@@ -284,6 +307,7 @@ def _row_sweep(n: int, m: int, kind: DominationKind, cap: int) -> SolveResult:
                 rows.append(cur[0])
                 cur = layers[t][cur][1]
             best = (cost, rows[::-1])
+            bound = cost - 1
 
     if best is None or best[0] > ub:
         raise CertificateError(f"no {kind.value} set on {n}x{m} within the witness size {ub}")

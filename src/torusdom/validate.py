@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidInputError
+from .errors import CertificateError, InvalidInputError
 from .matching import maximum_matching
 from .torus import TorusGraph, VertexId, VertexSet, induced_edges
 
@@ -110,7 +110,8 @@ def has_perfect_matching(g: TorusGraph, d: VertexSet) -> Optional[MatchingWitnes
         (verts[k], verts[mate[k]]) for k in range(len(verts)) if k < mate[k]
     )
     witness = MatchingWitness(pairs)
-    assert witness.check(g, d)
+    if not witness.check(g, d):
+        raise CertificateError("matcher output is not a perfect matching of the set")
     return witness
 
 
@@ -123,21 +124,25 @@ def is_efficient_total(g: TorusGraph, d: VertexSet) -> bool:
 
     When that holds, the members pair up perfectly (so the set has even
     size and is paired dominating) and the open neighbourhoods of the
-    members partition the vertex set; both consequences are asserted.
+    members partition the vertex set; both consequences are checked, and
+    a failure raises CertificateError.
     """
     _check_pair(g, d)
     counts = domination_multiplicity(g, d)
     if any(c != 1 for c in counts):
         return False
-    assert len(d) % 2 == 0
-    assert has_perfect_matching(g, d) is not None
+    if len(d) % 2:
+        raise CertificateError(f"efficient total set of odd size {len(d)}")
+    if has_perfect_matching(g, d) is None:
+        raise CertificateError("efficient total set without a perfect matching")
     union = 0
     total = 0
     for v in d:
         mask = g.nbr_masks[g.dims.slot(v)]
         union |= mask
         total += mask.bit_count()
-    assert union == g.full_mask and total == g.dims.order
+    if union != g.full_mask or total != g.dims.order:
+        raise CertificateError("efficient total set neighbourhoods do not partition the grid")
     return True
 
 

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from torusdom.certificates import Certificate, ResultCache, load_certificate
 from torusdom.cli import main
@@ -156,6 +160,28 @@ def test_solve_writes_certificate_and_cache(tmp_path, capsys):
     assert cert.cardinality == 8
     cached = ResultCache(tmp_path / "cache").get(6, 4, TOTAL, "auto")
     assert cached == (8, cert.digest())
+
+
+def test_certificate_checks_run_under_optimize(tmp_path):
+    # python -O strips asserts; solve and verify must still check and succeed
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def cli(*args):
+        return subprocess.run(
+            [sys.executable, "-O", "-m", "torusdom.cli", *args],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+
+    solved = cli("solve", "--n", "6", "--m", "4", "--kind", "total",
+                 "--cache-dir", str(tmp_path / "cache"))
+    assert solved.returncode == 0, solved.stderr
+    assert "gamma_t(6,4) = 8" in solved.stdout
+    path = tmp_path / "cert.json"
+    built = cli("construct", "--n", "5", "--m", "5", "--kind", "paired", "--out", str(path))
+    assert built.returncode == 0, built.stderr
+    verified = cli("verify", str(path))
+    assert verified.returncode == 0, verified.stderr
+    assert "claimed paired: VERIFIED" in verified.stdout
 
 
 def test_solve_sandwich_route(capsys, tmp_path):

@@ -203,8 +203,10 @@ def test_solutions_are_deterministic():
     assert e.certificate == f.certificate
 
 
-# (value, certificate mask) of the row-sweep DP, recorded before its plain,
-# total and paired variants shared one kernel; ties must still break alike.
+# (value, certificate mask) of the row-sweep DP.  The first six were recorded
+# before its plain, total and paired variants shared one kernel, the rest
+# before it ran one seed per symmetry orbit and pruned against the best set
+# found; ties must still break alike.
 @pytest.mark.parametrize(
     "n,m,kind,value,mask",
     [
@@ -214,6 +216,14 @@ def test_solutions_are_deterministic():
         (9, 6, PLAIN, 13, 0x180B0101602901),
         (9, 4, PAIRED, 10, 0xC030C0330),
         (7, 5, PAIRED, 10, 0x781121220),
+        (10, 5, TOTAL, 13, 0x3801A10342060),
+        (13, 5, TOTAL, 17, 0x1C00D081A10342060),
+        (12, 5, PLAIN, 13, 0x605028102814081),
+        (13, 5, PLAIN, 15, 0x1C092024049012060),
+        (10, 6, PLAIN, 14, 0xE801500A8090140),
+        (9, 6, TOTAL, 15, 0x380924074101C0),
+        (5, 7, PAIRED, 10, 0x528132012),
+        (6, 6, PAIRED, 10, 0xF000D80C0),
     ],
 )
 def test_dp_certificates_are_pinned(n, m, kind, value, mask):

@@ -1,6 +1,6 @@
 import pytest
 
-from torusdom.errors import InvalidInputError
+from torusdom.errors import CertificateError, InvalidInputError
 from torusdom.torus import TorusDims, VertexId, VertexSet, make_torus
 from torusdom.validate import (
     DominationKind,
@@ -114,6 +114,14 @@ def test_matching_witness_check_rejects_bad_witnesses():
     assert not overlap.check(g, d)
     partial = MatchingWitness(((VertexId(1, 1), VertexId(1, 2)),))
     assert not partial.check(g, d)
+
+
+def test_failed_matching_witness_raises(monkeypatch):
+    # the check must raise, not assert, so that it also runs under python -O
+    monkeypatch.setattr(MatchingWitness, "check", lambda self, g, d: False)
+    g = make_torus(4, 4)
+    with pytest.raises(CertificateError):
+        has_perfect_matching(g, _vs(g, [(1, 1), (1, 2)]))
 
 
 def test_efficient_total_on_the_four_by_four_tile():
