@@ -3,7 +3,10 @@
 Each builder assembles a pattern from closed-form index ranges, then
 re-validates it against the claimed domination kind and cardinality
 before returning.  A pattern that fails its own contract raises
-ConstructionInvalidError; nothing is silently patched.  Every named
+ConstructionInvalidError; nothing is silently patched.  A builder or
+transformation that breaks its own invariant (overlapping parts, a
+projection that loses domination) raises CertificateError, which
+best_upper_witness does not catch, also under python -O.  Every named
 family validates on its residue class at the size the bound catalog
 claims; best_upper_witness still tries each applicable family and
 returns the smallest one that validates.
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .errors import (
+    CertificateError,
     CongruenceError,
     ConstructionInvalidError,
     InvalidDimensionsError,
@@ -82,7 +86,8 @@ def _finish(
     listed = list(vertices)
     vset = VertexSet.from_vertices(dims, listed)
     # a collision between pattern parts is a builder bug, not bad input
-    assert len(vset) == len(listed), f"{provenance}: overlapping pattern parts"
+    if len(vset) != len(listed):
+        raise CertificateError(f"{provenance}: overlapping pattern parts")
     if len(vset) != claimed:
         raise ConstructionInvalidError(
             f"{provenance} on {dims.n}x{dims.m}: built {len(vset)} vertices, claimed {claimed}"
@@ -175,7 +180,8 @@ def construct_base_tile(n: int, m: int) -> VertexSet:
         for j in range(1, m - 1, 4):
             verts += [(i, j), (i, j + 1), tuple(dims.wrap(i + 2, j + 2)), tuple(dims.wrap(i + 2, j + 3))]
     vset = VertexSet.from_vertices(dims, verts)
-    assert len(vset) == len(verts), "base tile blocks overlap"
+    if len(vset) != len(verts):
+        raise CertificateError("base tile blocks overlap")
     return vset
 
 
@@ -248,7 +254,8 @@ def _corner_trimmed(n: int, m: int, kind: DominationKind):
     # horizontal block tiling and the corner rail, trimmed at three cells
     parts = construct_base_tile(n, m).pairs() + _corner_rail(n, m)
     base = set(parts)
-    assert len(base) == len(parts), "corner-trimmed parts overlap"
+    if len(base) != len(parts):
+        raise CertificateError("corner-trimmed parts overlap")
     for v in ((n, m - 2), (n, m), (2, m - 1)):
         if v not in base:
             raise ConstructionInvalidError(f"corner-trimmed removal {v} absent on {n}x{m}")
@@ -265,7 +272,8 @@ def _wrap_braided(n: int, m: int, kind: DominationKind):
         parts += [(n - 1, j), (n - 1, j + 1), (n, j + 2), (n, j + 3)]
     parts.append((n, m - 1))
     base = set(parts)
-    assert len(base) == len(parts), "wrap-braided parts overlap"
+    if len(base) != len(parts):
+        raise CertificateError("wrap-braided parts overlap")
     for v in ((1, m - 2), (1, m - 1), (n, m - 3)):
         if v not in base:
             raise ConstructionInvalidError(f"wrap-braided removal {v} absent on {n}x{m}")
@@ -376,7 +384,8 @@ def normalize_columns_m3(g: TorusGraph, d: VertexSet) -> VertexSet:
                     w = g.dims.wrap(a, 2)
                     d = d.add(w.i, w.j)
                 changed = True
-    assert is_total_dominating(g, d)
+    if not is_total_dominating(g, d):
+        raise CertificateError("width-3 normalization lost total domination")
     return d
 
 
@@ -481,14 +490,15 @@ def project_column(
     if not A:
         small = VertexSet.from_vertices(g.dims, d.pairs())
         report = ProjectionReport(A, B, 0, VertexSet(g.dims))
-        assert satisfies(g, small, kind)
+        if not satisfies(g, small, kind):
+            raise CertificateError(f"projection to {n}x{m} lost {kind.value} domination")
         return small, report
 
     kept = [tuple(v) for v in d if v.i <= n]
     moved = [(n - 1, j) for j in sorted(A & B)] + [(n, j) for j in sorted(A - B)]
     small = VertexSet.from_vertices(g.dims, set(kept) | set(moved))
-    assert len(small) <= len(d)
-    assert is_total_dominating(g, small)
+    if len(small) > len(d) or not is_total_dominating(g, small):
+        raise CertificateError(f"projection to {n}x{m} grew or lost total domination")
 
     if kind is DominationKind.TOTAL:
         return small, ProjectionReport(A, B, 0, VertexSet(g.dims))
@@ -496,8 +506,8 @@ def project_column(
     _, adj = _induced_adj(g, small)
     odd = sum(1 for comp in _components(adj) if len(comp) % 2)
     repaired, added = _repair_matching(g, small, len(d) - len(small))
-    assert len(repaired) <= len(d)
-    assert satisfies(g, repaired, DominationKind.PAIRED)
+    if len(repaired) > len(d) or not satisfies(g, repaired, DominationKind.PAIRED):
+        raise CertificateError(f"matching repair on {n}x{m} grew or lost paired domination")
     return repaired, ProjectionReport(A, B, odd, added)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidDimensionsError, InvalidInputError
+from .errors import CertificateError, InvalidDimensionsError, InvalidInputError
 from .validate import DominationKind
 
 
@@ -132,5 +132,8 @@ def upper_bounds(n: int, m: int, kind: DominationKind) -> BoundReport:
         lower = lower_bound_regular(n, m)
     exact = known_value(n, m, kind)
     report = BoundReport(kind, exact, lower, tuple(sorted(set(bounds))))
-    assert report.lower_bound <= report.best_upper()
+    if report.lower_bound > report.best_upper():
+        raise CertificateError(
+            f"{kind.value} lower bound {lower} on {n}x{m} exceeds the best upper bound"
+        )
     return report

@@ -7,9 +7,11 @@ Four engines, each certifying optimality a different way:
 * one cyclic row-sweep dynamic program for plain, total and paired
   sets, carrying per-row membership, outstanding-domination and
   unmatched-member masks (the last always empty unless paired), with
-  wraparound closed by boundary seeds, one per orbit of the width
-  ring's rotations and reflections, and costs pruned against the best
-  set found so far;
+  wraparound closed by boundary seeds.  Three prunes leave its values
+  and certificates unchanged: one seed per orbit of the width ring's
+  rotations and reflections, costs bounded by the best set found so
+  far, and a backward lower bound on the cost of the rows still to
+  come;
 * a branch-and-bound over disjoint adjacent pairs for paired sets on
   grids too wide for the DP, with iterative deepening from the degree
   bound so exhaustion below the answer is the optimality proof;
@@ -209,6 +211,70 @@ def _cycle_leftovers(w: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(rec(mask))) for mask in range(full + 1))
 
 
+@functools.lru_cache(maxsize=None)
+def _row_tables(width: int, kind: DominationKind) -> tuple[tuple, ...]:
+    """The row sweep's transition tables for one ring width and kind,
+    shared by the forward sweep and its backward bound.
+
+    need[c]: the vertices of a row with members c that no member of that
+    row dominates; pop[c]: the members of c; supersets[u]: every row
+    membership containing u, fewest members first; leftovers[c]: the
+    unmatched masks a row's fresh members c may leave (always (0,) unless
+    paired).
+    """
+    full = (1 << width) - 1
+    total = kind is DominationKind.TOTAL
+    ring = [_rot_left(c, width, full) | _rot_right(c, width, full) for c in range(full + 1)]
+    need = tuple((full if total else full & ~c) & ~ring[c] for c in range(full + 1))
+    pop = tuple(c.bit_count() for c in range(full + 1))
+    supersets = tuple(
+        tuple(sorted((u | s for s in _subsets(full & ~u)), key=pop.__getitem__))
+        for u in range(full + 1)
+    )
+    paired = kind is DominationKind.PAIRED
+    leftovers = _cycle_leftovers(width) if paired else ((0,),) * (full + 1)
+    return need, pop, supersets, leftovers
+
+
+def _row_bounds(width: int, kind: DominationKind, rows: int) -> list[dict[tuple, int]]:
+    """lb[k][state]: the least cost of k more rows after a row-sweep state,
+    with the wraparound closure ignored, for k = 0..rows.
+
+    One backward min-plus pass over the kernel's own transitions.  The
+    states are every (membership c, pending u, unmatched w) with u a
+    submask of need[c] and w a submask of c (0 unless paired), which
+    holds every state a transition can reach.
+    """
+    need, pop, supersets, leftovers = _row_tables(width, kind)
+    paired = kind is DominationKind.PAIRED
+    states = [
+        (c, u, w)
+        for c in range(len(need))
+        for u in _subsets(need[c])
+        for w in (_subsets(c) if paired else (0,))
+    ]
+    lb = [dict.fromkeys(states, 0)]
+    for _ in range(rows):
+        prev = lb[-1]
+        floor = min(prev.values())
+        layer = {}
+        for state in states:
+            c, u, wmask = state
+            least = width * len(lb)  # k full rows always extend
+            for c2 in supersets[u | wmask]:
+                step = pop[c2]
+                if step + floor >= least:
+                    break
+                u2 = need[c2] & ~c
+                for w2 in leftovers[c2 & ~wmask]:
+                    cand = step + prev[(c2, u2, w2)]
+                    if cand < least:
+                        least = cand
+            layer[state] = least
+        lb.append(layer)
+    return lb
+
+
 def _row_sweep(n: int, m: int, kind: DominationKind, cap: int) -> SolveResult:
     """Exact plain, total or paired minimum via a cyclic row-sweep DP.
 
@@ -225,18 +291,34 @@ def _row_sweep(n: int, m: int, kind: DominationKind, cap: int) -> SolveResult:
     first row, so seeds are capped there.  Ties keep the first state in
     sorted order.
 
-    Two prunes leave every value and certificate as they would be
+    Three prunes leave every value and certificate as they would be
     without them.  Seeds run in lexicographic order, and the best set
     changes only on a strict improvement, so the certificate comes from
-    the first seed s* that reaches the optimum.  A seed is run only if it
-    is the least of its orbit under the ring's w rotations and w
-    reflections, applied to all four seed masks at once; each such map,
-    applied to every row, is a torus automorphism, so every image of s*
-    reaches the optimum too, and s* is kept.  Costs are pruned above an
-    incumbent bound: the witness size, then one less than the best set
-    found.  A pruned state costs more than the optimum, so it is never a
-    back-pointer on an optimal path: the states of s* that cost at most
-    the optimum keep their costs and back-pointers.
+    the first seed s* that reaches the optimum.
+
+    * Symmetry: a seed is run only if it is the least of its orbit under
+      the ring's w rotations and w reflections, applied to all four seed
+      masks at once.  Each such map, applied to every row, is a torus
+      automorphism, so every image of s* reaches the optimum too, and s*
+      is kept.
+    * Incumbent: the bound starts at the witness size and becomes one
+      less than each best set found.
+    * Lower bound: a transition to a state with k rows after it is
+      dropped when its cost plus lb[k][state] (`_row_bounds`, the least
+      cost of k more rows, closure ignored) exceeds the bound.  Rows are
+      tried with the fewest members first, so a row that the least lb of
+      the next layer already rules out ends the loop.
+
+    Why the certificate cannot move: call a state's cost in the DP
+    without these prunes d.  A state with d + lb <= bound keeps d and its
+    back-pointer.  Its first predecessor in sorted order that reaches d
+    has cost d - pop[c] and lb at most pop[c] + lb of the state, so by
+    induction it is kept with the same cost; a kept state never costs
+    less than d, so no other predecessor ties earlier.  Each state on a
+    closing path of s* at the optimum has d + lb <= optimum <= bound,
+    since every seed before s* found more than the optimum; and a seed's
+    least closing cost is found exactly when it is within the bound, so
+    the bound moves as it would without the prunes.
     """
     t0 = time.perf_counter()
     paired = kind is DominationKind.PAIRED
@@ -246,13 +328,7 @@ def _row_sweep(n: int, m: int, kind: DominationKind, cap: int) -> SolveResult:
         raise InstanceTooLargeError(f"{engine} width cap is {cap}, got {width}")
 
     full = (1 << width) - 1
-    total = kind is DominationKind.TOTAL
-    # need[c]: vertices of a row with members c that no member of that row dominates
-    ring = [_rot_left(c, width, full) | _rot_right(c, width, full) for c in range(full + 1)]
-    need = [(full if total else full & ~c) & ~ring[c] for c in range(full + 1)]
-    pop = [c.bit_count() for c in range(full + 1)]
-    supersets = [[u | s for s in _subsets(full & ~u)] for u in range(full + 1)]
-    leftovers = _cycle_leftovers(width) if paired else ((0,),) * (full + 1)
+    need, pop, supersets, leftovers = _row_tables(width, kind)
 
     # images[k][c]: mask c under the k-th of the ring's w rotations and w reflections
     images = [
@@ -269,6 +345,8 @@ def _row_sweep(n: int, m: int, kind: DominationKind, cap: int) -> SolveResult:
         for w1 in leftovers[c1 & ~x1]
         if all((im[c1], im[u1], im[x1], im[w1]) >= (c1, u1, x1, w1) for im in images)
     ]
+    lb = _row_bounds(width, kind, length - 2)
+    floors = [min(rest.values()) for rest in lb]
     bound = ub
     State = tuple[int, int, int]  # membership, pending domination, unmatched
     best: Optional[tuple[int, list[int]]] = None
@@ -276,18 +354,22 @@ def _row_sweep(n: int, m: int, kind: DominationKind, cap: int) -> SolveResult:
         # layers[t] maps state -> (cost, previous state)
         layer: dict[State, tuple[int, Optional[State]]] = {(c1, u1, w1): (pop[c1], None)}
         layers = [layer]
-        for _ in range(length - 1):
+        for k in range(length - 2, -1, -1):  # k rows after the next one
+            rest = lb[k]
+            room = bound - floors[k]
             nxt: dict[State, tuple[int, Optional[State]]] = {}
             for state in sorted(layer):
                 cost = layer[state][0]
                 c, u, wmask = state
                 for c2 in supersets[u | wmask]:
                     cand = cost + pop[c2]
-                    if cand > bound:
-                        continue
+                    if cand > room:
+                        break
                     u2 = need[c2] & ~c
                     for w2 in leftovers[c2 & ~wmask]:
                         key = (c2, u2, w2)
+                        if cand + rest[key] > bound:
+                            continue
                         old = nxt.get(key)
                         if old is None or cand < old[0]:
                             nxt[key] = (cand, state)

@@ -1,4 +1,9 @@
+import importlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +20,7 @@ from torusdom.construct import (
     project_column,
 )
 from torusdom.errors import (
+    CertificateError,
     CongruenceError,
     ConstructionInvalidError,
     InvalidDimensionsError,
@@ -276,6 +282,35 @@ def test_projection_moves_last_row_inward():
     assert rep.odd_components == 0
     assert not rep.repair_vertices
     assert satisfies(make_torus(6, 4), out, PAIRED)
+
+
+def test_projection_checks_raise_certificate_errors(monkeypatch):
+    # a projection that loses domination is a bug: it raises CertificateError,
+    # which best_upper_witness does not swallow, and not an assert
+    module = importlib.import_module("torusdom.construct")
+    monkeypatch.setattr(module, "is_total_dominating", lambda g, d: False)
+    with pytest.raises(CertificateError, match="projection to 6x4"):
+        project_column(make_torus(7, 4), construct_m4(7).vertex_set, PAIRED)
+    monkeypatch.setattr(module, "satisfies", lambda g, d, kind: g.dims.n == 8)
+    with pytest.raises(CertificateError, match="projection to 7x8"):
+        best_upper_witness(7, 8, TOTAL)
+
+
+def test_construction_checks_run_under_optimize(tmp_path):
+    # python -O strips asserts; the projection check must still stop construct
+    code = (
+        "import sys, torusdom.construct as c\n"
+        "from torusdom.cli import main\n"
+        "c.satisfies = lambda g, d, kind: g.dims.n == 8\n"
+        "sys.exit(main(['construct', '--n', '7', '--m', '8', '--kind', 'total']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 1
+    assert "projection to 7x8 lost total domination" in run.stderr
 
 
 def test_projection_with_empty_last_row_is_identity():

@@ -1,5 +1,7 @@
 import importlib
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -204,9 +206,10 @@ def test_solutions_are_deterministic():
 
 
 # (value, certificate mask) of the row-sweep DP.  The first six were recorded
-# before its plain, total and paired variants shared one kernel, the rest
-# before it ran one seed per symmetry orbit and pruned against the best set
-# found; ties must still break alike.
+# before its plain, total and paired variants shared one kernel, the next
+# eight before it ran one seed per symmetry orbit and pruned against the best
+# set found, the last two before it pruned by its backward lower bound; ties
+# must still break alike.
 @pytest.mark.parametrize(
     "n,m,kind,value,mask",
     [
@@ -224,11 +227,94 @@ def test_solutions_are_deterministic():
         (9, 6, TOTAL, 15, 0x380924074101C0),
         (5, 7, PAIRED, 10, 0x528132012),
         (6, 6, PAIRED, 10, 0xF000D80C0),
+        (10, 7, TOTAL, 18, 0x122402640A44804C81),
+        (8, 8, TOTAL, 16, 0xCC003300CC003300),
     ],
 )
 def test_dp_certificates_are_pinned(n, m, kind, value, mask):
     res = solve_paired_dp(n, m) if kind is PAIRED else solve_profile_dp(n, m, kind)
     assert (res.value, res.certificate.mask) == (value, mask)
+
+
+def test_dp_certificates_match_recorded():
+    # [n, m, kind, value, hex mask] of 126 row-sweep DP solves, recorded before
+    # the kernel pruned by its backward lower bound: plain and total with n in
+    # 3..13 and m in 3..5, every paired grid of at most 45 vertices, and a few
+    # width-6 and width-8 grids
+    path = Path(__file__).parent / "data" / "dp_certificates.json"
+    for n, m, kind, value, mask in json.loads(path.read_text()):
+        kind = DominationKind(kind)
+        res = solve_paired_dp(n, m) if kind is PAIRED else solve_profile_dp(n, m, kind)
+        assert (res.value, hex(res.certificate.mask)) == (value, mask), (n, m, kind)
+
+
+def _least_extension(width, kind, state, k, budget):
+    """The fewest members in k rows below a row-sweep state (c, u, w), or
+    budget + 1 if every extension has more, found by enumerating the rows'
+    masks.  Domination and pairing are checked on the rows themselves:
+    row 1 must meet u, rows 1..k-1 must be dominated, and the members of w
+    and of rows 1..k-1 must pair along grid edges, each member of w with the
+    vertex below it.  The last row's needs and partners are left open."""
+    full = (1 << width) - 1
+    c, u, w = state
+
+    def ring(x):
+        return ((x << 1) | (x >> (width - 1)) | (x >> 1) | (x << (width - 1))) & full
+
+    def pairs_up(rows):
+        free = {(0, j) for j in range(width) if w >> j & 1}
+        free |= {(r, j) for r in range(1, k + 1) for j in range(width) if rows[r] >> j & 1}
+        must = sorted(v for v in free if v[0] < k)
+
+        def match(free):
+            todo = [v for v in must if v in free]
+            if not todo:
+                return True
+            r, j = v = todo[0]
+            near = [(r + 1, j)]
+            if r:  # a member of w, on row 0, pairs only downward
+                near += [(r - 1, j), (r, (j - 1) % width), (r, (j + 1) % width)]
+            return any(match(free - {v, p}) for p in near if p in free)
+
+        return match(free)
+
+    masks = sorted(range(full + 1), key=int.bit_count)
+    rows = [c]
+    best = budget + 1
+
+    def extend(cost):
+        nonlocal best
+        r = len(rows) - 1
+        if r == 1 and (u | w) & ~rows[1]:
+            return
+        if r >= 2:
+            needs = full if kind is TOTAL else full & ~rows[r - 1]
+            if needs & ~(ring(rows[r - 1]) | rows[r - 2] | rows[r]):
+                return
+        if r == k:
+            if kind is not PAIRED or pairs_up(rows):
+                best = cost
+            return
+        for x in masks:
+            if cost + x.bit_count() >= best:
+                break
+            rows.append(x)
+            extend(cost + x.bit_count())
+            rows.pop()
+
+    extend(0)
+    return best
+
+
+@pytest.mark.parametrize("kind", [PLAIN, TOTAL, PAIRED])
+@pytest.mark.parametrize("width", [3, 4, 5])
+def test_row_bounds_are_admissible_and_tight(width, kind):
+    # the module, not the package attribute torusdom.solve, which is the function
+    lb = importlib.import_module("torusdom.solve")._row_bounds(width, kind, 3)
+    assert all(v == 0 for v in lb[0].values())
+    for k in (1, 2, 3):
+        for state, bound in lb[k].items():
+            assert _least_extension(width, kind, state, k, bound) == bound, (k, state)
 
 
 def test_dp_rejects_invalid_certificate(monkeypatch):
