@@ -31,7 +31,7 @@ from .errors import (
     OutOfRangeError,
     UnsupportedClassError,
 )
-from .formulas import known_value, lower_bound_regular, upper_bounds
+from .formulas import known_value, lower_bound_paired, lower_bound_regular, upper_bounds
 from .solve import (
     ORACLE_AUTO_CAP,
     ORACLE_CAP,
@@ -208,9 +208,7 @@ def _table_exact(n: int, m: int, kind: DominationKind) -> Optional[tuple[int, st
         elif kind is DominationKind.PAIRED:
             if order > PAIRED_EXACT_CAP:
                 witness = best_upper_witness(n, m, kind).vertex_set
-                lo = lower_bound_regular(n, m)
-                lo += lo % 2
-                if len(witness) != lo:
+                if len(witness) != lower_bound_paired(n, m):
                     return None
             res = solve_paired(n, m)
         elif width <= 5:

@@ -82,6 +82,12 @@ def lower_bound_regular(n: int, m: int) -> int:
     return _ceil_div(n * m, 4)
 
 
+def lower_bound_paired(n: int, m: int) -> int:
+    """The degree bound rounded up to even, since paired sets have even size."""
+    lo = lower_bound_regular(n, m)
+    return lo + lo % 2
+
+
 def _class_bounds(n: int, m: int, paired: bool) -> list[tuple[int, str]]:
     """Per-congruence-class claimed bounds, for one orientation (width m)."""
     out: list[tuple[int, str]] = []

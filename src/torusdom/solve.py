@@ -13,8 +13,12 @@ Four engines, each certifying optimality a different way:
   far, and a backward lower bound on the cost of the rows still to
   come;
 * a branch-and-bound over disjoint adjacent pairs for paired sets on
-  grids too wide for the DP, with iterative deepening from the degree
-  bound so exhaustion below the answer is the optimality proof;
+  grids too wide for the DP, with iterative deepening from the
+  parity-rounded degree bound so exhaustion below the answer is the
+  optimality proof.  Each node walks candidate edges precomputed per
+  vertex and tests the coverage bound before it recurses; the root bans
+  every image of a failed edge under the automorphisms fixing slot 0,
+  which leaves its certificates unchanged;
 * a sandwich shortcut when a validated pattern meets the degree bound,
   which certifies without any search.
 
@@ -33,7 +37,7 @@ from typing import Iterator, Optional
 
 from .construct import best_upper_witness
 from .errors import CertificateError, InstanceTooLargeError, InvalidInputError
-from .formulas import lower_bound_regular
+from .formulas import lower_bound_paired, lower_bound_regular
 from .matching import maximum_matching
 from .torus import TorusGraph, VertexSet, make_torus
 from .validate import DominationKind, is_efficient_total, satisfies
@@ -410,63 +414,84 @@ def solve_paired_dp(n: int, m: int) -> SolveResult:
     return _row_sweep(n, m, DominationKind.PAIRED, PAIRED_WIDTH_CAP)
 
 
+def _root_maps(n: int, m: int) -> list[list[int]]:
+    """Slot permutations of the torus automorphisms that fix slot 0: the
+    identity and the reflections i -> -i, j -> -j and their product, and
+    when n = m their transposes as well (4 or 8 maps)."""
+    coords = [(s // m, s % m) for s in range(n * m)]
+    maps = [[a * i % n * m + b * j % m for i, j in coords] for a in (1, -1) for b in (1, -1)]
+    if n == m:
+        maps += [[p[j * m + i] for i, j in coords] for p in maps]
+    return maps
+
+
 def _paired_search(n: int, m: int, incumbent: VertexSet, t0: float) -> SolveResult:
     """Branch-and-bound over disjoint adjacent pairs, deepening from the
-    parity-rounded degree bound; exhausting a level proves absence."""
+    parity-rounded degree bound; exhausting a level proves absence.
+
+    Each node branches, in edge order, on the unused edges that touch the
+    closed neighbourhood of the lowest vertex not yet dominated (near[v],
+    built once), and bans each edge whose branch fails for its later
+    siblings.  A child whose undominated vertices exceed 8 per pair left
+    fails without a call and is banned the same way.  Every smaller level
+    failed, so no fewer pairs dominate, and a level's solutions are exactly
+    the sets of k disjoint edges that dominate the torus.
+
+    At the root nothing is chosen and v is slot 0.  When the branch on an
+    edge e fails there, every image of e under the automorphisms fixing
+    slot 0 (`_root_maps`) is banned too.  This cannot move the certificate:
+    a failed root branch proves that no solution contains e, since the
+    edges already banned lie in no solution (by induction); so no solution
+    contains an image of e either; and banning edges that lie in no
+    solution removes only subtrees without one, so the depth-first search
+    meets the same first solution.
+    """
     g = make_torus(n, m)
-    full = g.full_mask
+    order = g.dims.order
     edges = g.edges()
-    closed = [g.nbr_masks[s] | (1 << s) for s in range(g.dims.order)]
-    edge_cover = [closed[a] | closed[b] for a, b in edges]
-    edge_mask = [(1 << a) | (1 << b) for a, b in edges]
-    by_vertex: list[list[int]] = [[] for _ in range(g.dims.order)]
+    index = {edge: e for e, edge in enumerate(edges)}
+    maps = _root_maps(n, m)
+    closed = [g.nbr_masks[s] | (1 << s) for s in range(order)]
+    # per edge: its bit, its endpoints, the vertices it dominates, and the
+    # bits of its images under the root maps
+    entries = []
+    by_vertex: list[list[int]] = [[] for _ in range(order)]
     for e, (a, b) in enumerate(edges):
+        images = sum({1 << index[tuple(sorted((p[a], p[b])))] for p in maps})
+        entries.append((1 << e, (1 << a) | (1 << b), closed[a] | closed[b], images))
         by_vertex[a].append(e)
         by_vertex[b].append(e)
+    # near[v]: every edge touching N[v], in edge order
+    near = [
+        [entries[e] for e in sorted({e for s in (v, *g.nbr_slots[v]) for e in by_vertex[s]})]
+        for v in range(order)
+    ]
 
-    def exists(pairs: int) -> Optional[list[int]]:
-        banned = [False] * len(edges)
-
-        def rec(covered: int, used: int, left: int, chosen: list[int]) -> Optional[list[int]]:
-            uncovered = full & ~covered
-            if not uncovered:
-                return list(chosen) if left == 0 else None
-            if left == 0 or uncovered.bit_count() > 8 * left:
-                return None
-            v = (uncovered & -uncovered).bit_length() - 1
-            cands = sorted(
-                e
-                for s in range(g.dims.order)
-                if closed[v] >> s & 1
-                for e in by_vertex[s]
-                if not banned[e] and not edge_mask[e] & used
-            )
-            local: list[int] = []
-            hit = None
-            for e in sorted(set(cands)):
-                hit = rec(covered | edge_cover[e], used | edge_mask[e], left - 1, chosen + [e])
+    def rec(uncovered: int, used: int, left: int, banned: int, root: bool) -> Optional[int]:
+        """The first set of `left` more pairs, avoiding `used` and the
+        `banned` edge bits, that dominates `uncovered`, joined to `used`."""
+        if not uncovered:
+            return used if left == 0 else None
+        left -= 1
+        room = 8 * left
+        for bit, pair, cover, images in near[(uncovered & -uncovered).bit_length() - 1]:
+            if banned & bit or pair & used:
+                continue
+            rest = uncovered & ~cover
+            if rest.bit_count() <= room:
+                hit = rec(rest, used | pair, left, banned, False)
                 if hit is not None:
-                    break
-                banned[e] = True
-                local.append(e)
-            for e in local:
-                banned[e] = False
-            return hit
+                    return hit
+            banned |= images if root else bit
+        return None
 
-        return rec(0, 0, pairs, [])
-
-    lo = lower_bound_regular(n, m)
-    lo += lo % 2
     hi = len(incumbent)
     if hi % 2:
         raise CertificateError(f"paired incumbent on {n}x{m} has odd size {hi}")
-    for k in range(lo, hi, 2):
-        found = exists(k // 2)
+    for k in range(lower_bound_paired(n, m), hi, 2):
+        found = rec(g.full_mask, 0, k // 2, 0, True)
         if found is not None:
-            slots: list[int] = []
-            for e in found:
-                slots += list(edges[e])
-            cert = VertexSet.from_slots(g.dims, slots)
+            cert = VertexSet(g.dims, found)
             return _result(g, k, cert, DominationKind.PAIRED, SolveMethod.PAIRED_SEARCH, t0)
     return _result(g, hi, incumbent, DominationKind.PAIRED, SolveMethod.PAIRED_SEARCH, t0)
 
@@ -477,8 +502,7 @@ def solve_paired(n: int, m: int) -> SolveResult:
     t0 = time.perf_counter()
     g = make_torus(n, m)
     witness = _witness_upper(n, m, DominationKind.PAIRED)
-    lo = lower_bound_regular(n, m)
-    lo += lo % 2
+    lo = lower_bound_paired(n, m)
     if len(witness) == lo:
         return _result(g, lo, witness, DominationKind.PAIRED, SolveMethod.SANDWICH, t0)
     if g.dims.order <= ORACLE_AUTO_CAP:

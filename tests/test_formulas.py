@@ -6,6 +6,7 @@ from torusdom.formulas import (
     gamma_t_m3,
     gamma_tp_m4,
     known_value,
+    lower_bound_paired,
     lower_bound_regular,
     upper_bounds,
 )
@@ -82,6 +83,15 @@ def test_lower_bound_examples():
     assert lower_bound_regular(3, 3) == 3
     assert lower_bound_regular(5, 5) == 7
     assert lower_bound_regular(7, 5) == 9
+
+
+def test_paired_lower_bound_rounds_up_to_even():
+    for n in range(3, 12):
+        for m in range(3, 12):
+            lo = lower_bound_regular(n, m)
+            assert lower_bound_paired(n, m) == lo + lo % 2
+    assert lower_bound_paired(5, 5) == 8
+    assert lower_bound_paired(8, 4) == 8
 
 
 def test_upper_bounds_five_by_five_paired():

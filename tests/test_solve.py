@@ -6,7 +6,13 @@ from pathlib import Path
 import pytest
 
 from torusdom.errors import CertificateError, InstanceTooLargeError, InvalidInputError
-from torusdom.formulas import gamma_p_m3, gamma_t_m3, gamma_tp_m4, lower_bound_regular
+from torusdom.formulas import (
+    gamma_p_m3,
+    gamma_t_m3,
+    gamma_tp_m4,
+    lower_bound_paired,
+    lower_bound_regular,
+)
 from torusdom.solve import (
     ORACLE_AUTO_CAP,
     SolveMethod,
@@ -246,6 +252,45 @@ def test_dp_certificates_match_recorded():
         kind = DominationKind(kind)
         res = solve_paired_dp(n, m) if kind is PAIRED else solve_profile_dp(n, m, kind)
         assert (res.value, hex(res.certificate.mask)) == (value, mask), (n, m, kind)
+
+
+def test_paired_search_certificates_match_recorded():
+    # [n, m, value, hex mask] of 15 pair searches, recorded before the search
+    # walked precomputed candidates and banned root-edge orbits; 8x7, 7x8 and
+    # 8x9 prove absence below their witness, 9x9 at two levels
+    solve_module = importlib.import_module("torusdom.solve")
+    path = Path(__file__).parent / "data" / "paired_search_certificates.json"
+    for n, m, value, mask in json.loads(path.read_text()):
+        witness = solve_module._witness_upper(n, m, PAIRED)
+        res = solve_module._paired_search(n, m, witness, 0.0)
+        assert (res.value, hex(res.certificate.mask)) == (value, mask), (n, m)
+
+
+def test_paired_search_agrees_with_paired_dp():
+    solve_module = importlib.import_module("torusdom.solve")
+    absent = []
+    for n, m in itertools.product(range(5, 9), repeat=2):
+        if min(n, m) > 6:
+            continue
+        witness = solve_module._witness_upper(n, m, PAIRED)
+        found = solve_module._paired_search(n, m, witness, 0.0).value
+        assert found == solve_paired_dp(n, m).value, (n, m)
+        if found > lower_bound_paired(n, m):
+            absent.append((n, m))
+    # the search must have proved absence at the degree bound somewhere
+    assert {(5, 8), (8, 6)} <= set(absent)
+
+
+@pytest.mark.parametrize("n,m", [(5, 5), (7, 7), (8, 6), (9, 10)])
+def test_root_maps_are_automorphisms_fixing_slot_zero(n, m):
+    maps = importlib.import_module("torusdom.solve")._root_maps(n, m)
+    edges = set(make_torus(n, m).edges())
+    assert len(maps) == (8 if n == m else 4)
+    assert len({tuple(p) for p in maps}) == len(maps)
+    for p in maps:
+        assert sorted(p) == list(range(n * m))
+        assert p[0] == 0
+        assert {tuple(sorted((p[a], p[b]))) for a, b in edges} == edges
 
 
 def _least_extension(width, kind, state, k, budget):
