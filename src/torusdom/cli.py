@@ -31,15 +31,8 @@ from .errors import (
     OutOfRangeError,
     UnsupportedClassError,
 )
-from .formulas import known_value, lower_bound_paired, lower_bound_regular, upper_bounds
-from .solve import (
-    ORACLE_AUTO_CAP,
-    ORACLE_CAP,
-    solve,
-    solve_oracle,
-    solve_paired,
-    solve_profile_dp,
-)
+from .formulas import known_value, upper_bounds
+from .solve import ORACLE_CAP, solve, solve_oracle, solve_within_reach
 from .torus import make_torus
 from .validate import (
     DominationKind,
@@ -59,8 +52,6 @@ _GAMMA = {
     DominationKind.TOTAL: "gamma_t",
     DominationKind.PAIRED: "gamma_p",
 }
-
-PAIRED_EXACT_CAP = 36
 
 
 def _parse_range(text: str) -> range:
@@ -155,7 +146,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _canonical_certificate(res_value: int, res_set, n: int, m: int, kind: DominationKind):
+def _canonical_certificate(res_set, n: int, m: int, kind: DominationKind):
     """Lexicographically least certificate: exact over the oracle range,
     otherwise the least member of the certificate's rotation orbit."""
     if n * m <= ORACLE_CAP:
@@ -175,7 +166,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     res = solve(args.n, args.m, kind, args.method)
     cert_set = res.certificate
     if args.canonical:
-        cert_set = _canonical_certificate(res.value, cert_set, args.n, args.m, kind)
+        cert_set = _canonical_certificate(cert_set, args.n, args.m, kind)
     cert = Certificate.from_vertex_set(cert_set, kind, f"solver:{res.method.value}")
     cert.check()
     cache = ResultCache(args.cache_dir)
@@ -198,68 +189,28 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _table_exact(n: int, m: int, kind: DominationKind) -> Optional[tuple[int, str]]:
-    """Exact value when an engine is comfortably in range, else None."""
-    order = n * m
-    width = min(n, m)
-    try:
-        if order <= ORACLE_AUTO_CAP:
-            res = solve(n, m, kind, "auto")
-        elif kind is DominationKind.PAIRED:
-            if order > PAIRED_EXACT_CAP:
-                witness = best_upper_witness(n, m, kind).vertex_set
-                if len(witness) != lower_bound_paired(n, m):
-                    return None
-            res = solve_paired(n, m)
-        elif width <= 5:
-            res = solve_profile_dp(n, m, kind)
-        else:
-            if kind is not DominationKind.TOTAL:
-                return None
-            witness = best_upper_witness(n, m, kind).vertex_set
-            if len(witness) != lower_bound_regular(n, m):
-                return None
-            res = solve(n, m, kind, "auto")
-    except (InstanceTooLargeError, ConstructionInvalidError):
-        return None
-    return res.value, res.method.value
-
-
 def cmd_table(args: argparse.Namespace) -> int:
     kind = _kind(args)
+    header = [
+        "n", "m", "kind", "lower_bound", "exact", "method",
+        "formula", "best_upper", "agreement",
+    ]
     rows = []
     for n in args.n:
         for m in args.m:
             report = upper_bounds(n, m, kind)
             formula = known_value(n, m, kind)
             best_up = report.best_upper()
-            exact = _table_exact(n, m, kind)
-            if exact is not None:
-                value, method = exact
-                agree = (
-                    report.lower_bound <= value <= best_up
-                    and (formula is None or formula == value)
-                )
-            else:
+            try:
+                res = solve_within_reach(n, m, kind)
+            except (InstanceTooLargeError, ConstructionInvalidError):
                 value, method = None, ""
                 agree = formula is None or report.lower_bound <= formula <= best_up
-            rows.append(
-                {
-                    "n": n,
-                    "m": m,
-                    "kind": kind.value,
-                    "lower_bound": report.lower_bound,
-                    "exact": value,
-                    "method": method,
-                    "formula": formula,
-                    "best_upper": best_up,
-                    "agreement": agree,
-                }
-            )
-    header = [
-        "n", "m", "kind", "lower_bound", "exact", "method",
-        "formula", "best_upper", "agreement",
-    ]
+            else:
+                value, method = res.value, res.method.value
+                agree = report.lower_bound <= value <= best_up and formula in (None, value)
+            fields = (n, m, kind.value, report.lower_bound, value, method, formula, best_up, agree)
+            rows.append(dict(zip(header, fields)))
     out = Path(args.out) if args.out else None
     if args.format == "json":
         text = json.dumps(rows, indent=2) + "\n"
@@ -309,13 +260,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
     values: dict[DominationKind, int] = {}
     cache = ResultCache(args.cache_dir)
     for kind in (DominationKind.PLAIN, DominationKind.TOTAL, DominationKind.PAIRED):
-        exact = _table_exact(n, m, kind)
-        if exact is None:
-            record(f"solve:{kind.value}", True, "skipped (beyond comfortable caps)")
+        try:
+            res = solve_within_reach(n, m, kind)
+        except (InstanceTooLargeError, ConstructionInvalidError) as exc:
+            record(f"solve:{kind.value}", True, f"skipped ({exc})")
             continue
-        value, method = exact
-        values[kind] = value
-        detail = f"{value} via {method}"
+        value = values[kind] = res.value
+        detail = f"{value} via {res.method.value}"
         report = upper_bounds(n, m, kind)
         ok = report.lower_bound <= value <= report.best_upper()
         if report.exact is not None and report.exact != value:
@@ -333,24 +284,16 @@ def cmd_audit(args: argparse.Namespace) -> int:
             detail += f", cache holds {prior[0]}"
         record(f"solve:{kind.value}", ok, detail)
         if ok:
-            res = solve(n, m, kind, "auto")
             cert = Certificate.from_vertex_set(
                 res.certificate, kind, f"solver:{res.method.value}"
             )
             cache.put(n, m, kind, "auto", value, cert.digest())
 
-    if DominationKind.PLAIN in values and DominationKind.TOTAL in values:
-        record(
-            "chain:plain<=total",
-            values[DominationKind.PLAIN] <= values[DominationKind.TOTAL],
-            f"{values[DominationKind.PLAIN]} <= {values[DominationKind.TOTAL]}",
-        )
-    if DominationKind.TOTAL in values and DominationKind.PAIRED in values:
-        record(
-            "chain:total<=paired",
-            values[DominationKind.TOTAL] <= values[DominationKind.PAIRED],
-            f"{values[DominationKind.TOTAL]} <= {values[DominationKind.PAIRED]}",
-        )
+    chain = (DominationKind.PLAIN, DominationKind.TOTAL, DominationKind.PAIRED)
+    for low, high in zip(chain, chain[1:]):
+        if low in values and high in values:
+            detail = f"{values[low]} <= {values[high]}"
+            record(f"chain:{low.value}<={high.value}", values[low] <= values[high], detail)
     failed = [name for name, ok, _ in checks if not ok]
     print(f"audit {'passed' if not failed else 'FAILED: ' + ', '.join(failed)}")
     return 0 if not failed else 1

@@ -514,8 +514,9 @@ def project_column(
 def best_upper_witness(n: int, m: int, kind: DominationKind) -> ConstructionResult:
     """Smallest validated pattern covering (n, m) for the given kind.
 
-    Tries every applicable family, skipping those that fail validation,
-    and returns the smallest survivor (ties broken by provenance name).
+    Tries every applicable family, skipping those whose builder rejects
+    its set (each validates through `_finish`), and returns the smallest
+    survivor (ties broken by provenance name).
     """
     if kind not in (DominationKind.TOTAL, DominationKind.PAIRED):
         raise InvalidInputError(f"no witness catalog for kind {kind.value}")
@@ -534,14 +535,11 @@ def best_upper_witness(n: int, m: int, kind: DominationKind) -> ConstructionResu
         builders.append(lambda: construct_bound_pattern(n, m, kind))
         builders.append(lambda: _projection_cascade(n, m, kind))
 
-    g = make_torus(n, m)
     found: list[tuple[int, str, ConstructionResult]] = []
     for build in builders:
         try:
             res = build()
         except ConstructionInvalidError:
-            continue
-        if not satisfies(g, res.vertex_set, kind):
             continue
         res = dataclasses.replace(res, kind=kind)
         found.append((res.claimed_cardinality, res.provenance, res))

@@ -22,6 +22,9 @@ Four engines, each certifying optimality a different way:
 * a sandwich shortcut when a validated pattern meets the degree bound,
   which certifies without any search.
 
+Only `solve`, with `solve_paired` as its paired branch, orders the
+engines; `solve_within_reach` holds the limits `table` and `audit` keep.
+
 All engines are deterministic: ties break toward the first candidate
 in sorted order, and repeated runs return identical certificates.
 """
@@ -47,6 +50,9 @@ ORACLE_AUTO_CAP = 20
 PROFILE_WIDTH_CAP = 8
 PAIRED_WIDTH_CAP = 6
 EFFICIENT_WIDTH_CAP = 8
+# how far `solve_within_reach` lets the DP and the pair search run
+REACH_DP_WIDTH = 5
+REACH_PAIRED_ORDER = 36
 
 
 class SolveMethod(enum.Enum):
@@ -194,6 +200,18 @@ def _witness_upper(n: int, m: int, kind: DominationKind) -> VertexSet:
     return best_upper_witness(n, m, catalog_kind).vertex_set
 
 
+def _sandwich(
+    g: TorusGraph, witness: VertexSet, kind: DominationKind, t0: float
+) -> Optional[SolveResult]:
+    """The total or paired witness as the optimum when its size meets the
+    degree bound (rounded up to even when paired), else None."""
+    n, m = g.dims.n, g.dims.m
+    lo = lower_bound_paired(n, m) if kind is DominationKind.PAIRED else lower_bound_regular(n, m)
+    if len(witness) != lo:
+        return None
+    return _result(g, lo, witness, kind, SolveMethod.SANDWICH, t0)
+
+
 @functools.lru_cache(maxsize=None)
 def _cycle_leftovers(w: int) -> tuple[tuple[int, ...], ...]:
     """For each member mask of a width-w ring: leftover masks reachable by
@@ -279,7 +297,14 @@ def _row_bounds(width: int, kind: DominationKind, rows: int) -> list[dict[tuple,
     return lb
 
 
-def _row_sweep(n: int, m: int, kind: DominationKind, cap: int) -> SolveResult:
+def _check_dp_width(n: int, m: int, kind: DominationKind) -> None:
+    cap = PAIRED_WIDTH_CAP if kind is DominationKind.PAIRED else PROFILE_WIDTH_CAP
+    if min(n, m) > cap:
+        engine = "paired DP" if kind is DominationKind.PAIRED else "profile DP"
+        raise InstanceTooLargeError(f"{engine} width cap is {cap}, got {min(n, m)}")
+
+
+def _row_sweep(n: int, m: int, kind: DominationKind, witness: VertexSet, t0: float) -> SolveResult:
     """Exact plain, total or paired minimum via a cyclic row-sweep DP.
 
     The state after each row is (membership mask, mask of that row's
@@ -292,8 +317,9 @@ def _row_sweep(n: int, m: int, kind: DominationKind, cap: int) -> SolveResult:
     second row meets (the last row must meet the rest), and for paired
     sets the first-row members the last row claims as partners.  Some
     rotated optimum has at most floor(witness size / rows) members in its
-    first row, so seeds are capped there.  Ties keep the first state in
-    sorted order.
+    first row, so seeds are capped there.  The caller builds the witness
+    and checks the width cap (`_check_dp_width`).  Ties keep the first
+    state in sorted order.
 
     Three prunes leave every value and certificate as they would be
     without them.  Seeds run in lexicographic order, and the best set
@@ -324,13 +350,8 @@ def _row_sweep(n: int, m: int, kind: DominationKind, cap: int) -> SolveResult:
     least closing cost is found exactly when it is within the bound, so
     the bound moves as it would without the prunes.
     """
-    t0 = time.perf_counter()
     paired = kind is DominationKind.PAIRED
     length, width, transposed = _orient(n, m)
-    if width > cap:
-        engine = "paired DP" if paired else "profile DP"
-        raise InstanceTooLargeError(f"{engine} width cap is {cap}, got {width}")
-
     full = (1 << width) - 1
     need, pop, supersets, leftovers = _row_tables(width, kind)
 
@@ -340,7 +361,7 @@ def _row_sweep(n: int, m: int, kind: DominationKind, cap: int) -> SolveResult:
         for r in range(width)
         for s in (1, -1)
     ]
-    ub = len(_witness_upper(n, m, kind))
+    ub = len(witness)
     seeds = [
         (c1, u1, x1, w1)
         for c1 in range(full + 1) if pop[c1] <= ub // length
@@ -406,12 +427,16 @@ def solve_profile_dp(n: int, m: int, kind: DominationKind) -> SolveResult:
     """Exact plain or total minimum via the row-sweep DP (`_row_sweep`)."""
     if kind not in (DominationKind.PLAIN, DominationKind.TOTAL):
         raise InvalidInputError(f"profile DP handles plain or total, got {kind.value}")
-    return _row_sweep(n, m, kind, PROFILE_WIDTH_CAP)
+    t0 = time.perf_counter()
+    _check_dp_width(n, m, kind)
+    return _row_sweep(n, m, kind, _witness_upper(n, m, kind), t0)
 
 
 def solve_paired_dp(n: int, m: int) -> SolveResult:
     """Exact paired minimum via the row-sweep DP (`_row_sweep`)."""
-    return _row_sweep(n, m, DominationKind.PAIRED, PAIRED_WIDTH_CAP)
+    t0 = time.perf_counter()
+    _check_dp_width(n, m, DominationKind.PAIRED)
+    return _row_sweep(n, m, DominationKind.PAIRED, _witness_upper(n, m, DominationKind.PAIRED), t0)
 
 
 def _root_maps(n: int, m: int) -> list[list[int]]:
@@ -502,9 +527,9 @@ def solve_paired(n: int, m: int) -> SolveResult:
     t0 = time.perf_counter()
     g = make_torus(n, m)
     witness = _witness_upper(n, m, DominationKind.PAIRED)
-    lo = lower_bound_paired(n, m)
-    if len(witness) == lo:
-        return _result(g, lo, witness, DominationKind.PAIRED, SolveMethod.SANDWICH, t0)
+    found = _sandwich(g, witness, DominationKind.PAIRED, t0)
+    if found is not None:
+        return found
     if g.dims.order <= ORACLE_AUTO_CAP:
         return solve_oracle(n, m, DominationKind.PAIRED)
     return _paired_search(n, m, witness, t0)
@@ -610,17 +635,19 @@ def solve(
 ) -> SolveResult:
     """Front door: pick the cheapest certifying engine for the instance.
 
-    method "oracle" and "dp" force those engines; "auto" prefers the
-    sandwich certificate, then the oracle on tiny grids, then the DP
-    (plain/total) or the pair search (paired).
+    method "oracle" and "dp" force those engines.  "auto" tries, for
+    plain and total sets, the oracle on tiny grids, then the sandwich
+    certificate (total only), then the DP; for paired sets
+    (`solve_paired`), the sandwich, then the oracle on tiny grids, then
+    the pair search.  The catalog witness is built at most once and
+    bounds whichever engine runs.
     """
     _check_kind(kind)
     if method == "oracle":
         return solve_oracle(n, m, kind)
     if method == "dp":
-        if kind is DominationKind.PAIRED:
-            return solve_paired_dp(n, m)
-        return solve_profile_dp(n, m, kind)
+        paired = kind is DominationKind.PAIRED
+        return solve_paired_dp(n, m) if paired else solve_profile_dp(n, m, kind)
     if method != "auto":
         raise InvalidInputError(f"unknown method {method!r}")
     if kind is DominationKind.PAIRED:
@@ -629,10 +656,37 @@ def solve(
     g = make_torus(n, m)
     if g.dims.order <= ORACLE_AUTO_CAP:
         return solve_oracle(n, m, kind)
-    if kind is DominationKind.TOTAL:
-        witness = _witness_upper(n, m, kind)
-        if len(witness) == lower_bound_regular(n, m):
-            return _result(
-                g, len(witness), witness, kind, SolveMethod.SANDWICH, t0
-            )
-    return solve_profile_dp(n, m, kind)
+    if kind is DominationKind.PLAIN:
+        return solve_profile_dp(n, m, kind)
+    witness = _witness_upper(n, m, kind)
+    found = _sandwich(g, witness, kind, t0)
+    if found is not None:
+        return found
+    _check_dp_width(n, m, kind)
+    return _row_sweep(n, m, kind, witness, t0)
+
+
+def solve_within_reach(n: int, m: int, kind: DominationKind) -> SolveResult:
+    """`solve(n, m, kind)` within the limits that `table` and `audit` keep:
+    the DP up to width REACH_DP_WIDTH and the pair search up to
+    REACH_PAIRED_ORDER vertices, which both contain the oracle's auto
+    range.  Beyond them only a sandwich certificate answers; otherwise
+    InstanceTooLargeError names the limit, for plain sets before any
+    witness is built."""
+    _check_kind(kind)
+    t0 = time.perf_counter()
+    g = make_torus(n, m)
+    if kind is DominationKind.PAIRED:
+        within = g.dims.order <= REACH_PAIRED_ORDER
+        limit = f"pair-search limit is {REACH_PAIRED_ORDER} vertices, got {g.dims.order}"
+    else:
+        within = min(n, m) <= REACH_DP_WIDTH
+        limit = f"DP width limit is {REACH_DP_WIDTH}, got {min(n, m)}"
+    if within:
+        return solve(n, m, kind)
+    if kind is DominationKind.PLAIN:
+        raise InstanceTooLargeError(limit)
+    found = _sandwich(g, _witness_upper(n, m, kind), kind, t0)
+    if found is None:
+        raise InstanceTooLargeError(limit)
+    return found

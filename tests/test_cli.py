@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import importlib
 import io
 import json
 import os
@@ -6,12 +8,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from torusdom.certificates import Certificate, ResultCache, load_certificate
 from torusdom.cli import main
 from torusdom.errors import ConstructionInvalidError
-from torusdom.solve import solve_oracle
+from torusdom.solve import solve, solve_oracle
 from torusdom.validate import DominationKind
 
+PLAIN = DominationKind.PLAIN
 TOTAL = DominationKind.TOTAL
 PAIRED = DominationKind.PAIRED
 
@@ -182,6 +187,9 @@ def test_certificate_checks_run_under_optimize(tmp_path):
     verified = cli("verify", str(path))
     assert verified.returncode == 0, verified.stderr
     assert "claimed paired: VERIFIED" in verified.stdout
+    audited = cli("audit", "--n", "9", "--m", "5", "--cache-dir", str(tmp_path / "cache"))
+    assert audited.returncode == 0, audited.stderr
+    assert "audit passed" in audited.stdout
 
 
 def test_solve_sandwich_route(capsys, tmp_path):
@@ -301,3 +309,87 @@ def test_audit_flags_poisoned_cache(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "cache holds 9" in out
     assert "audit FAILED" in out
+
+
+# total cells where the sandwich now answers before the DP, same values
+SANDWICH_FIRST = {(3, 7), (4, 8), (5, 7), (7, 3), (7, 5), (8, 4), (10, 3), (11, 3), (12, 4)}
+
+
+@pytest.fixture(scope="module")
+def table_cells():
+    """(exact, method, witnesses built) of each cell of `table --n 3..12
+    --m 3..8` for every kind, each cell run on its own."""
+    # the package attribute torusdom.solve is the function, so fetch the module
+    modules = [importlib.import_module(f"torusdom.{name}") for name in ("solve", "cli")]
+    real = modules[0].best_upper_witness
+    builds = []
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    cells = {}
+    with pytest.MonkeyPatch.context() as patch:
+        for module in modules:
+            patch.setattr(module, "best_upper_witness", counting)
+        for kind in ("plain", "total", "paired"):
+            for n in range(3, 13):
+                for m in range(3, 9):
+                    builds.clear()
+                    argv = ["--n", str(n), "--m", str(m), "--kind", kind, "--format", "json"]
+                    with contextlib.redirect_stdout(io.StringIO()) as out:
+                        assert main(["table", *argv]) == 0
+                    (row,) = json.loads(out.getvalue())
+                    cells[(n, m, kind)] = (row["exact"], row["method"], len(builds))
+    return cells
+
+
+def test_table_cells_match_recorded(table_cells):
+    # [n, m, kind, exact, method] of all 180 cells, recorded when cli.py still
+    # ordered the engines itself
+    path = Path(__file__).parent / "data" / "table_cells.json"
+    recorded = json.loads(path.read_text())
+    assert len(recorded) == len(table_cells) == 180
+    for n, m, kind, exact, method in recorded:
+        if kind == "total" and (n, m) in SANDWICH_FIRST:
+            assert method == "profile-dp"
+            method = "sandwich"
+        assert table_cells[(n, m, kind)][:2] == (exact, method), (n, m, kind)
+
+
+def test_table_builds_each_witness_at_most_once(table_cells):
+    for (n, m, kind), (_, _, built) in table_cells.items():
+        assert built <= 1, (n, m, kind)
+        if kind == "plain" and min(n, m) > 5:
+            assert built == 0, (n, m)
+
+
+def test_audit_solves_each_kind_once_and_caches_that_result(monkeypatch, tmp_path, capsys):
+    module = importlib.import_module("torusdom.solve")
+    real = module._row_sweep
+    swept = []
+
+    def counting(n, m, kind, *rest):
+        swept.append(kind)
+        return real(n, m, kind, *rest)
+
+    monkeypatch.setattr(module, "_row_sweep", counting)
+    assert main(["audit", "--n", "9", "--m", "5", "--cache-dir", str(tmp_path)]) == 0
+    assert "audit passed" in capsys.readouterr().out
+    # 45 vertices is beyond the pair search's limit, and no witness meets the bound
+    assert swept == [PLAIN, TOTAL]
+    cache = ResultCache(tmp_path)
+    for kind in (PLAIN, TOTAL):
+        res = solve(9, 5, kind, "auto")
+        cert = Certificate.from_vertex_set(res.certificate, kind, f"solver:{res.method.value}")
+        assert cache.get(9, 5, kind, "auto") == (res.value, cert.digest())
+    assert cache.get(9, 5, PAIRED, "auto") is None
+
+
+def test_audit_names_the_limit_behind_each_skip(tmp_path, capsys):
+    assert main(["audit", "--n", "8", "--m", "6", "--cache-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "  ok   solve:plain: skipped (DP width limit is 5, got 6)" in out
+    assert "  ok   solve:total: skipped (DP width limit is 5, got 6)" in out
+    assert "  ok   solve:paired: skipped (pair-search limit is 36 vertices, got 48)" in out
+    assert "audit passed" in out
