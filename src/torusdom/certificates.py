@@ -14,6 +14,7 @@ other versions are ignored on load and rewritten on store.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -180,22 +181,26 @@ class ResultCache:
         return entry["value"], entry["digest"]
 
     def put(self, n: int, m: int, kind: DominationKind, method: str, value: int, digest: str) -> None:
-        entries = self._load()
-        entries[self.key(n, m, kind, method)] = {
-            "value": value,
-            "digest": digest,
-            "version": TOOL_VERSION,
-        }
+        """Store one entry.  An exclusive lock on a sibling file spans the
+        whole read-modify-write, so concurrent writers lose no entries."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(entries, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp, self.path)
-        except BaseException:
+        with open(self.directory / "results.json.lock", "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            entries = self._load()
+            entries[self.key(n, m, kind, method)] = {
+                "value": value,
+                "digest": digest,
+                "version": TOOL_VERSION,
+            }
+            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+                with os.fdopen(fd, "w") as handle:
+                    json.dump(entries, handle, indent=2, sort_keys=True)
+                    handle.write("\n")
+                os.replace(tmp, self.path)
+            except BaseException:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+                raise

@@ -26,6 +26,7 @@ from .errors import (
     CertificateError,
     CongruenceError,
     ConstructionInvalidError,
+    InstanceTooLargeError,
     InvalidDimensionsError,
     InvalidInputError,
 )
@@ -515,11 +516,13 @@ def best_upper_witness(n: int, m: int, kind: DominationKind) -> ConstructionResu
     """Smallest validated pattern covering (n, m) for the given kind.
 
     Tries every applicable family, skipping those whose builder rejects
-    its set (each validates through `_finish`), and returns the smallest
-    survivor (ties broken by provenance name).
+    its set (each validates through `_finish`) or needs a grid above the
+    order cap, and returns the smallest survivor (ties broken by
+    provenance name).
     """
     if kind not in (DominationKind.TOTAL, DominationKind.PAIRED):
         raise InvalidInputError(f"no witness catalog for kind {kind.value}")
+    TorusDims(n, m)  # a grid above the order cap is refused before any family
     builders: list[Callable[[], ConstructionResult]] = []
     if m == 3:
         builders.append(lambda: construct_m3(n, kind))
@@ -539,7 +542,10 @@ def best_upper_witness(n: int, m: int, kind: DominationKind) -> ConstructionResu
     for build in builders:
         try:
             res = build()
-        except ConstructionInvalidError:
+        except (ConstructionInvalidError, InstanceTooLargeError):
+            # a family that passes through a grid above the order cap, such
+            # as the projection cascade's round-up to sides = 0 (mod 4), is
+            # skipped like one that fails
             continue
         res = dataclasses.replace(res, kind=kind)
         found.append((res.claimed_cardinality, res.provenance, res))

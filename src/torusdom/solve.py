@@ -7,7 +7,9 @@ Four engines, each certifying optimality a different way:
 * one cyclic row-sweep dynamic program for plain, total and paired
   sets, carrying per-row membership, outstanding-domination and
   unmatched-member masks (the last always empty unless paired), with
-  wraparound closed by boundary seeds.  Three prunes leave its values
+  wraparound closed by boundary seeds.  Its states are numbered once
+  per width and kind, and one move table holds every transition, for
+  the sweep and its bound alike.  Three prunes leave its values
   and certificates unchanged: one seed per orbit of the width ring's
   rotations and reflections, costs bounded by the best set found so
   far, and a backward lower bound on the cost of the rows still to
@@ -31,6 +33,7 @@ in sorted order, and repeated runs return identical certificates.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import itertools
@@ -42,7 +45,7 @@ from .construct import best_upper_witness
 from .errors import CertificateError, InstanceTooLargeError, InvalidInputError
 from .formulas import lower_bound_paired, lower_bound_regular
 from .matching import maximum_matching
-from .torus import TorusGraph, VertexSet, make_torus
+from .torus import TorusDims, TorusGraph, VertexSet, make_torus
 from .validate import DominationKind, is_efficient_total, satisfies
 
 ORACLE_CAP = 24
@@ -235,8 +238,8 @@ def _cycle_leftovers(w: int) -> tuple[tuple[int, ...], ...]:
 
 @functools.lru_cache(maxsize=None)
 def _row_tables(width: int, kind: DominationKind) -> tuple[tuple, ...]:
-    """The row sweep's transition tables for one ring width and kind,
-    shared by the forward sweep and its backward bound.
+    """The row sweep's transition tables for one ring width and kind, from
+    which `_row_moves` builds its move table and `_row_sweep` its seeds.
 
     need[c]: the vertices of a row with members c that no member of that
     row dominates; pop[c]: the members of c; supersets[u]: every row
@@ -258,41 +261,58 @@ def _row_tables(width: int, kind: DominationKind) -> tuple[tuple, ...]:
     return need, pop, supersets, leftovers
 
 
-def _row_bounds(width: int, kind: DominationKind, rows: int) -> list[dict[tuple, int]]:
-    """lb[k][state]: the least cost of k more rows after a row-sweep state,
-    with the wraparound closure ignored, for k = 0..rows.
+@functools.lru_cache(maxsize=None)
+def _row_moves(width: int, kind: DominationKind) -> tuple[tuple, tuple]:
+    """The row sweep's states, numbered once, and its one move table.
 
-    One backward min-plus pass over the kernel's own transitions.  The
-    states are every (membership c, pending u, unmatched w) with u a
-    submask of need[c] and w a submask of c (0 unless paired), which
-    holds every state a transition can reach.
+    states: every (membership c, pending u, unmatched w) with u a submask
+    of need[c] and w a submask of c (0 unless paired), in ascending tuple
+    order, which holds every state a transition can reach.  moves[i]: the
+    (members of the next row, number of the next state) pairs of state i,
+    fewest members first, then in the order of supersets and leftovers.
     """
     need, pop, supersets, leftovers = _row_tables(width, kind)
     paired = kind is DominationKind.PAIRED
-    states = [
+    states = tuple(
         (c, u, w)
         for c in range(len(need))
         for u in _subsets(need[c])
         for w in (_subsets(c) if paired else (0,))
-    ]
-    lb = [dict.fromkeys(states, 0)]
+    )
+    number = {state: i for i, state in enumerate(states)}
+    moves = tuple(
+        tuple(
+            (pop[c2], number[(c2, need[c2] & ~c, w2)])
+            for c2 in supersets[u | w]
+            for w2 in leftovers[c2 & ~w]
+        )
+        for c, u, w in states
+    )
+    return states, moves
+
+
+def _row_bounds(width: int, kind: DominationKind, rows: int) -> list[list[int]]:
+    """lb[k][i]: the least cost of k more rows after row-sweep state number
+    i (`_row_moves`), with the wraparound closure ignored, for k = 0..rows.
+
+    One backward min-plus pass over the kernel's own move table.
+    """
+    moves = _row_moves(width, kind)[1]
+    lb = [[0] * len(moves)]
     for _ in range(rows):
         prev = lb[-1]
-        floor = min(prev.values())
-        layer = {}
-        for state in states:
-            c, u, wmask = state
-            least = width * len(lb)  # k full rows always extend
-            for c2 in supersets[u | wmask]:
-                step = pop[c2]
+        floor = min(prev)
+        cap = width * len(lb)  # k full rows always extend
+        layer = []
+        for row in moves:
+            least = cap
+            for step, j in row:
                 if step + floor >= least:
                     break
-                u2 = need[c2] & ~c
-                for w2 in leftovers[c2 & ~wmask]:
-                    cand = step + prev[(c2, u2, w2)]
-                    if cand < least:
-                        least = cand
-            layer[state] = least
+                cand = step + prev[j]
+                if cand < least:
+                    least = cand
+            layer.append(least)
         lb.append(layer)
     return lb
 
@@ -318,8 +338,18 @@ def _row_sweep(n: int, m: int, kind: DominationKind, witness: VertexSet, t0: flo
     sets the first-row members the last row claims as partners.  Some
     rotated optimum has at most floor(witness size / rows) members in its
     first row, so seeds are capped there.  The caller builds the witness
-    and checks the width cap (`_check_dp_width`).  Ties keep the first
-    state in sorted order.
+    and checks the width cap (`_check_dp_width`).
+
+    States are numbered once per width and kind in ascending tuple order,
+    and every transition is read from one move table (`_row_moves`), which
+    the backward bound walks too.  A layer maps a state's number to its
+    cost and its predecessor's number.  Since numbers follow tuple order,
+    walking a layer by number walks it in sorted state order, and ties
+    keep the first state in that order.  The last layer holds only states
+    that close with the seed (their pending needs met by the first row,
+    the first row's remaining needs met by them, their unmatched members
+    the ones the seed's first row claims); a state that does not close
+    could never be used.
 
     Three prunes leave every value and certificate as they would be
     without them.  Seeds run in lexicographic order, and the best set
@@ -333,27 +363,29 @@ def _row_sweep(n: int, m: int, kind: DominationKind, witness: VertexSet, t0: flo
       is kept.
     * Incumbent: the bound starts at the witness size and becomes one
       less than each best set found.
-    * Lower bound: a transition to a state with k rows after it is
-      dropped when its cost plus lb[k][state] (`_row_bounds`, the least
-      cost of k more rows, closure ignored) exceeds the bound.  Rows are
-      tried with the fewest members first, so a row that the least lb of
-      the next layer already rules out ends the loop.
+    * Lower bound: a transition to state number j with k rows after it is
+      dropped when its cost plus lb[k][j] (`_row_bounds`, the least cost
+      of k more rows, closure ignored) exceeds the bound.  Rows are tried
+      with the fewest members first, so a row that the least lb of the
+      next layer already rules out ends the loop.
 
     Why the certificate cannot move: call a state's cost in the DP
     without these prunes d.  A state with d + lb <= bound keeps d and its
-    back-pointer.  Its first predecessor in sorted order that reaches d
-    has cost d - pop[c] and lb at most pop[c] + lb of the state, so by
-    induction it is kept with the same cost; a kept state never costs
-    less than d, so no other predecessor ties earlier.  Each state on a
-    closing path of s* at the optimum has d + lb <= optimum <= bound,
-    since every seed before s* found more than the optimum; and a seed's
-    least closing cost is found exactly when it is within the bound, so
-    the bound moves as it would without the prunes.
+    back-pointer.  Its first predecessor in number order, which is sorted
+    order, that reaches d has cost d - pop[c] and lb at most pop[c] + lb
+    of the state, so by induction it is kept with the same cost; a kept
+    state never costs less than d, so no other predecessor ties earlier.
+    Each state on a closing path of s* at the optimum has
+    d + lb <= optimum <= bound, since every seed before s* found more
+    than the optimum, and its last state closes, so it is kept; the least
+    closing cost of a seed, and its first state in number order, are
+    found exactly when that cost is within the bound, so the bound moves
+    as it would without the prunes.
     """
     paired = kind is DominationKind.PAIRED
     length, width, transposed = _orient(n, m)
     full = (1 << width) - 1
-    need, pop, supersets, leftovers = _row_tables(width, kind)
+    need, pop, _, leftovers = _row_tables(width, kind)
 
     # images[k][c]: mask c under the k-th of the ring's w rotations and w reflections
     images = [
@@ -370,48 +402,44 @@ def _row_sweep(n: int, m: int, kind: DominationKind, witness: VertexSet, t0: flo
         for w1 in leftovers[c1 & ~x1]
         if all((im[c1], im[u1], im[x1], im[w1]) >= (c1, u1, x1, w1) for im in images)
     ]
+    states, moves = _row_moves(width, kind)
     lb = _row_bounds(width, kind, length - 2)
-    floors = [min(rest.values()) for rest in lb]
+    floors = [min(rest) for rest in lb]
     bound = ub
-    State = tuple[int, int, int]  # membership, pending domination, unmatched
     best: Optional[tuple[int, list[int]]] = None
     for c1, u1, x1, w1 in seeds:
-        # layers[t] maps state -> (cost, previous state)
-        layer: dict[State, tuple[int, Optional[State]]] = {(c1, u1, w1): (pop[c1], None)}
+        r1 = need[c1] & ~u1  # first-row needs the last row must meet
+        # closing[j]: 0 if state j closes with the seed, else past any bound
+        closing = [
+            0 if not u & ~c1 and not r1 & ~c and w == x1 else ub + 1 for c, u, w in states
+        ]
+        # layers[t] maps state number -> (cost, previous state number)
+        layer: dict[int, tuple[int, Optional[int]]] = {
+            bisect.bisect_left(states, (c1, u1, w1)): (pop[c1], None)
+        }
         layers = [layer]
         for k in range(length - 2, -1, -1):  # k rows after the next one
-            rest = lb[k]
+            rest = lb[k] if k else closing
             room = bound - floors[k]
-            nxt: dict[State, tuple[int, Optional[State]]] = {}
-            for state in sorted(layer):
-                cost = layer[state][0]
-                c, u, wmask = state
-                for c2 in supersets[u | wmask]:
-                    cand = cost + pop[c2]
+            nxt: dict[int, tuple[int, Optional[int]]] = {}
+            for i in sorted(layer):
+                cost = layer[i][0]
+                for step, j in moves[i]:
+                    cand = cost + step
                     if cand > room:
                         break
-                    u2 = need[c2] & ~c
-                    for w2 in leftovers[c2 & ~wmask]:
-                        key = (c2, u2, w2)
-                        if cand + rest[key] > bound:
-                            continue
-                        old = nxt.get(key)
-                        if old is None or cand < old[0]:
-                            nxt[key] = (cand, state)
+                    if cand + rest[j] > bound:
+                        continue
+                    old = nxt.get(j)
+                    if old is None or cand < old[0]:
+                        nxt[j] = (cand, i)
             layer = nxt
             layers.append(layer)
-        r1 = need[c1] & ~u1  # first-row needs the last row must meet
-        for state in sorted(layer):
-            c_last, u_last, w_last = state
-            if u_last & ~c1 or r1 & ~c_last or w_last != x1:
-                continue
-            cost = layer[state][0]
-            if best is not None and cost >= best[0]:
-                continue
+        if layer:
+            cost, cur = min((entry[0], i) for i, entry in layer.items())
             rows = []
-            cur: Optional[State] = state
             for t in range(length - 1, -1, -1):
-                rows.append(cur[0])
+                rows.append(states[cur][0])
                 cur = layers[t][cur][1]
             best = (cost, rows[::-1])
             bound = cost - 1
@@ -543,6 +571,7 @@ def find_efficient_tds(n: int, m: int) -> Optional[VertexSet]:
     once forces every further row, so seeds are just the first two
     masks.  Wraparound is checked on the final and first rows.
     """
+    TorusDims(n, m)  # sides and order are checked before any row is marched
     if (n * m) % 4:
         return None
     length, width, transposed = _orient(n, m)

@@ -14,9 +14,18 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import InvalidDimensionsError, InvalidInputError, OutOfRangeError
+from .errors import (
+    InstanceTooLargeError,
+    InvalidDimensionsError,
+    InvalidInputError,
+    OutOfRangeError,
+)
 
 MIN_SIDE = 3
+# the most vertices a grid may have: a TorusGraph's neighbour masks grow
+# with the square of the order (121 MB at 201x201), and the projection
+# cascade builds 201x201 from 204x204
+MAX_ORDER = 204 * 204
 
 
 class VertexId(NamedTuple):
@@ -28,7 +37,9 @@ class VertexId(NamedTuple):
 
 @dataclass(frozen=True, order=True)
 class TorusDims:
-    """Validated dimensions of a toroidal mesh."""
+    """Validated dimensions of a toroidal mesh: both sides at least
+    MIN_SIDE and at most MAX_ORDER vertices, checked before anything of
+    the grid's size is built."""
 
     n: int
     m: int
@@ -37,6 +48,10 @@ class TorusDims:
         if self.n < MIN_SIDE or self.m < MIN_SIDE:
             raise InvalidDimensionsError(
                 f"both sides must be >= {MIN_SIDE}, got {self.n}x{self.m}"
+            )
+        if self.n * self.m > MAX_ORDER:
+            raise InstanceTooLargeError(
+                f"{self.n}x{self.m} has {self.n * self.m} vertices, above the cap of {MAX_ORDER}"
             )
 
     @property

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +164,32 @@ def test_cache_drops_entries_from_other_versions(tmp_path):
     entry = doc[ResultCache.key(4, 4, TOTAL, "auto")]
     assert entry["version"] == TOOL_VERSION
     assert entry["value"] == 4
+
+
+def test_cache_keeps_every_key_of_concurrent_writers(tmp_path):
+    # two processes each store 40 keys of their own; without a lock across
+    # the read-modify-write, one can replace the file with a copy read
+    # before the other's store and drop that key
+    script = (
+        "import sys\n"
+        "from torusdom.certificates import ResultCache\n"
+        "from torusdom.validate import DominationKind\n"
+        "cache = ResultCache(sys.argv[1])\n"
+        "for n in range(3, 43):\n"
+        "    cache.put(n, int(sys.argv[2]), DominationKind.TOTAL, 'auto', n, 'd' * 64)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    writers = [
+        subprocess.Popen([sys.executable, "-c", script, str(tmp_path), str(m)], env=env)
+        for m in (3, 4)
+    ]
+    assert [w.wait(timeout=120) for w in writers] == [0, 0]
+    cache = ResultCache(tmp_path)
+    stored = json.loads(cache.path.read_text())
+    assert len(stored) == 80
+    for n in range(3, 43):
+        for m in (3, 4):
+            assert cache.get(n, m, TOTAL, "auto") == (n, "d" * 64)
 
 
 def test_cache_survives_corrupted_store(tmp_path):

@@ -74,6 +74,37 @@ def test_construct_plain_is_unsupported(capsys):
     assert "no pattern catalog" in capsys.readouterr().err
 
 
+def test_grids_above_the_order_cap_exit_3_before_any_torus_is_built(
+    monkeypatch, tmp_path, capsys
+):
+    path = tmp_path / "cert.json"
+    assert main(["construct", "--n", "11", "--m", "11", "--out", str(path)]) == 0
+    torus_module = importlib.import_module("torusdom.torus")
+    built = []
+    real_init = torus_module.TorusGraph.__init__
+
+    def recording_init(self, dims):
+        built.append(dims.order)
+        real_init(self, dims)
+
+    monkeypatch.setattr(torus_module.TorusGraph, "__init__", recording_init)
+    monkeypatch.setattr(torus_module, "MAX_ORDER", 100)
+    capsys.readouterr()
+    cache = str(tmp_path / "cache")
+    for argv in (
+        ["construct", "--n", "11", "--m", "11", "--kind", "paired"],
+        ["solve", "--n", "11", "--m", "11", "--kind", "total", "--cache-dir", cache],
+        ["solve", "--n", "3", "--m", "34", "--kind", "paired", "--method", "dp",
+         "--cache-dir", cache],
+        ["verify", str(path)],
+    ):
+        assert main(argv) == 3, argv
+        assert "above the cap of 100" in capsys.readouterr().err, argv
+    # 9x9 is within the cap; its cascade would round up to 12x12 and is skipped
+    assert main(["construct", "--n", "9", "--m", "9"]) == 0
+    assert all(order <= 100 for order in built)
+
+
 def test_construct_falls_back_when_pattern_family_fails(monkeypatch, capsys):
     # When the class pattern for 5x5 fails validation, the catalog must
     # hand back some other valid witness instead of erroring.

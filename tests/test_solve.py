@@ -355,11 +355,45 @@ def _least_extension(width, kind, state, k, budget):
 @pytest.mark.parametrize("width", [3, 4, 5])
 def test_row_bounds_are_admissible_and_tight(width, kind):
     # the module, not the package attribute torusdom.solve, which is the function
-    lb = importlib.import_module("torusdom.solve")._row_bounds(width, kind, 3)
-    assert all(v == 0 for v in lb[0].values())
+    module = importlib.import_module("torusdom.solve")
+    states = module._row_moves(width, kind)[0]
+    lb = module._row_bounds(width, kind, 3)
+    assert all(v == 0 for v in lb[0])
     for k in (1, 2, 3):
-        for state, bound in lb[k].items():
+        assert len(lb[k]) == len(states)
+        for state, bound in zip(states, lb[k]):
             assert _least_extension(width, kind, state, k, bound) == bound, (k, state)
+
+
+@pytest.mark.parametrize(
+    "width,kind",
+    [(w, kind) for w in (3, 4, 5, 6) for kind in (PLAIN, TOTAL)] + [(w, PAIRED) for w in (3, 4, 5)],
+)
+def test_row_moves_match_the_row_tables(width, kind):
+    module = importlib.import_module("torusdom.solve")
+    need, pop, supersets, leftovers = module._row_tables(width, kind)
+    states, moves = module._row_moves(width, kind)
+    full = (1 << width) - 1
+    everything = [
+        (c, u, w)
+        for c in range(full + 1)
+        for u in range(full + 1) if not u & ~need[c]
+        for w in range(full + 1) if not w & ~c and (kind is PAIRED or not w)
+    ]
+    # numbering in ascending tuple order: the DP's tie rule and so its
+    # certificates rest on it
+    assert list(states) == sorted(everything)
+    assert len(moves) == len(states)
+    for (c, u, w), row in zip(states, moves):
+        expected = [
+            (pop[c2], states.index((c2, need[c2] & ~c, w2)))
+            for c2 in supersets[u | w]
+            for w2 in leftovers[c2 & ~w]
+        ]
+        assert list(row) == expected, (c, u, w)
+        assert [step for step, _ in row] == sorted(step for step, _ in row)
+        # every row meeting the pending needs and partners, each exactly once
+        assert {states[j][0] for _, j in row} == {c2 for c2 in range(full + 1) if not (u | w) & ~c2}
 
 
 def test_dp_rejects_invalid_certificate(monkeypatch):

@@ -1,8 +1,10 @@
+import importlib
 import random
 
 import pytest
 
 from torusdom.errors import (
+    InstanceTooLargeError,
     InvalidDimensionsError,
     InvalidInputError,
     OutOfRangeError,
@@ -24,6 +26,16 @@ from torusdom.torus import (
 def test_dims_rejects_thin_grids():
     for n, m in [(2, 3), (3, 2), (1, 1), (0, 5), (-3, 4)]:
         with pytest.raises(InvalidDimensionsError):
+            TorusDims(n, m)
+
+
+def test_dims_refuse_grids_above_the_order_cap(monkeypatch):
+    torus_module = importlib.import_module("torusdom.torus")
+    assert TorusDims(201, 201).order <= torus_module.MAX_ORDER
+    monkeypatch.setattr(torus_module, "MAX_ORDER", 100)
+    TorusDims(10, 10)
+    for n, m in [(11, 10), (10, 11), (3, 34)]:
+        with pytest.raises(InstanceTooLargeError, match="above the cap of 100"):
             TorusDims(n, m)
 
 
