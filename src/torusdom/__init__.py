@@ -3,154 +3,8 @@
 Compute, construct and certify minimum dominating, total dominating and
 paired dominating sets of the product of two cycles: closed forms for
 narrow grids, explicit pattern constructions with validation, exact
-solvers with certificates, and a small CLI on top.
+solvers with certificates, and a small CLI on top.  Import what you
+need from the submodules (`torusdom.solve`, `torusdom.construct`, ...).
 """
 
-from .certificates import (
-    Certificate,
-    ResultCache,
-    TOOL_VERSION,
-    default_cache_dir,
-    load_certificate,
-)
-from .construct import (
-    BOUND_PATTERN_CASES,
-    CongruenceCase,
-    ConstructionResult,
-    ProjectionReport,
-    best_upper_witness,
-    construct_base_tile,
-    construct_bound_pattern,
-    construct_m3,
-    construct_m4,
-    construct_mod4,
-    normalize_columns_m3,
-    project_column,
-)
-from .errors import (
-    CertificateError,
-    CongruenceError,
-    ConstructionInvalidError,
-    InstanceTooLargeError,
-    InvalidDimensionsError,
-    InvalidInputError,
-    OutOfRangeError,
-    TorusDomError,
-    UnsupportedClassError,
-)
-from .formulas import (
-    BoundReport,
-    gamma_p_m3,
-    gamma_t_m3,
-    gamma_tp_m4,
-    known_value,
-    lower_bound_regular,
-    upper_bounds,
-)
-from .matching import maximum_matching
-from .solve import (
-    SolveMethod,
-    SolveResult,
-    enumerate_total_dominating_sets,
-    find_efficient_tds,
-    solve,
-    solve_oracle,
-    solve_paired,
-    solve_paired_dp,
-    solve_profile_dp,
-)
-from .torus import (
-    MIN_SIDE,
-    BlockRange,
-    TorusDims,
-    TorusGraph,
-    VertexId,
-    VertexSet,
-    column,
-    excise_block,
-    induced_edges,
-    make_torus,
-    map_set,
-)
-from .validate import (
-    ColumnProfile,
-    DominationKind,
-    MatchingWitness,
-    column_profile,
-    domination_multiplicity,
-    has_perfect_matching,
-    is_dominating,
-    is_efficient_total,
-    is_paired_dominating,
-    is_total_dominating,
-    satisfies,
-)
-
-__version__ = TOOL_VERSION
-
-__all__ = [
-    "BOUND_PATTERN_CASES",
-    "BlockRange",
-    "BoundReport",
-    "Certificate",
-    "CertificateError",
-    "ColumnProfile",
-    "CongruenceCase",
-    "CongruenceError",
-    "ConstructionInvalidError",
-    "ConstructionResult",
-    "DominationKind",
-    "InstanceTooLargeError",
-    "InvalidDimensionsError",
-    "InvalidInputError",
-    "MatchingWitness",
-    "MIN_SIDE",
-    "OutOfRangeError",
-    "ProjectionReport",
-    "ResultCache",
-    "SolveMethod",
-    "SolveResult",
-    "TorusDims",
-    "TorusDomError",
-    "TorusGraph",
-    "UnsupportedClassError",
-    "VertexId",
-    "VertexSet",
-    "best_upper_witness",
-    "column",
-    "column_profile",
-    "construct_base_tile",
-    "construct_bound_pattern",
-    "construct_m3",
-    "construct_m4",
-    "construct_mod4",
-    "default_cache_dir",
-    "domination_multiplicity",
-    "enumerate_total_dominating_sets",
-    "excise_block",
-    "find_efficient_tds",
-    "gamma_p_m3",
-    "gamma_t_m3",
-    "gamma_tp_m4",
-    "has_perfect_matching",
-    "induced_edges",
-    "is_dominating",
-    "is_efficient_total",
-    "is_paired_dominating",
-    "is_total_dominating",
-    "known_value",
-    "load_certificate",
-    "lower_bound_regular",
-    "make_torus",
-    "map_set",
-    "maximum_matching",
-    "normalize_columns_m3",
-    "project_column",
-    "satisfies",
-    "solve",
-    "solve_oracle",
-    "solve_paired",
-    "solve_paired_dp",
-    "solve_profile_dp",
-    "upper_bounds",
-]
+from .certificates import TOOL_VERSION as __version__

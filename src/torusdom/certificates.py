@@ -3,9 +3,11 @@
 A certificate is a small JSON document naming the grid, the claimed
 domination kind and cardinality, the vertex list in slot order, and a
 free-form provenance label.  Serialization is canonical: fixed key
-order, two-space indent, sorted vertices, trailing newline.  Parsing
-re-serializes and compares bytes, so any normalization drift or hand
-edit is rejected rather than silently accepted.
+order, two-space indent, trailing newline.  Parsing re-serializes and
+compares bytes, so any normalization drift or hand edit is rejected
+rather than silently accepted; `Certificate.vertex_set` is the one
+structural gate (vertices on the grid, distinct, in slot order, as many
+as claimed), so each set has exactly one accepted byte form and digest.
 
 The cache is one JSON file mapping "NxM:kind:method" to the computed
 value plus the certificate digest and the tool version; entries from
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .errors import CertificateError
+from .errors import CertificateError, InvalidDimensionsError, OutOfRangeError
 from .torus import TorusDims, VertexId, VertexSet, make_torus
 from .validate import DominationKind, satisfies
 
@@ -33,6 +35,10 @@ TOOL_VERSION = "0.1.0"
 
 @dataclass(frozen=True)
 class Certificate:
+    """A claimed dominating set of one grid.  `vertex_set` checks its
+    structure and `check` adds the domination check; `verify`, `solve`
+    and `construct` all go through them."""
+
     n: int
     m: int
     kind: DominationKind
@@ -48,7 +54,24 @@ class Certificate:
         return cls(vs.dims.n, vs.dims.m, kind, len(vs), verts, provenance)
 
     def vertex_set(self) -> VertexSet:
-        return VertexSet.from_vertices(TorusDims(self.n, self.m), self.vertices)
+        """The certified set, once the structure holds: vertices on the
+        grid, distinct, in slot order and as many as `cardinality`.
+
+        Raises CertificateError otherwise; a grid above the order cap
+        raises InstanceTooLargeError, as TorusDims does everywhere.
+        """
+        try:
+            dims = TorusDims(self.n, self.m)
+            slots = [dims.slot(VertexId(i, j)) for i, j in self.vertices]
+        except (InvalidDimensionsError, OutOfRangeError) as exc:
+            raise CertificateError(f"bad dimensions or vertices: {exc}") from exc
+        if any(a >= b for a, b in zip(slots, slots[1:])):
+            raise CertificateError("vertices must be distinct and in slot order")
+        if self.cardinality != len(slots):
+            raise CertificateError(
+                f"cardinality {self.cardinality} != vertex count {len(slots)}"
+            )
+        return VertexSet.from_slots(dims, slots)
 
     def to_json(self) -> str:
         verts = json.dumps([[i, j] for i, j in self.vertices])
@@ -108,21 +131,10 @@ class Certificate:
         return cert
 
     def check(self) -> None:
-        """Raise CertificateError unless the claim is internally consistent
-        and the vertex set validates under the claimed kind."""
-        try:
-            vs = self.vertex_set()
-        except Exception as exc:
-            raise CertificateError(f"bad dimensions or vertices: {exc}") from exc
-        slots = [vs.dims.slot(VertexId(i, j)) for i, j in self.vertices]
-        if slots != sorted(set(slots)):
-            raise CertificateError("vertices must be distinct and in slot order")
-        if self.cardinality != len(vs):
-            raise CertificateError(
-                f"cardinality {self.cardinality} != vertex count {len(vs)}"
-            )
-        g = make_torus(self.n, self.m)
-        if not satisfies(g, vs, self.kind):
+        """Raise CertificateError unless the structure holds and the vertex
+        set validates under the claimed kind."""
+        vs = self.vertex_set()
+        if not satisfies(make_torus(self.n, self.m), vs, self.kind):
             raise CertificateError(
                 f"vertex set fails {self.kind.value} validation on {self.n}x{self.m}"
             )

@@ -105,20 +105,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     claimed = _KINDS[args.kind] if args.kind else cert.kind
     try:
         cert_vs = cert.vertex_set()
-    except (InvalidDimensionsError, OutOfRangeError, InvalidInputError) as exc:
+    except CertificateError as exc:
         print(f"structural failure: {exc}", file=sys.stderr)
         return 1
     print(
         f"certificate {cert.n}x{cert.m} {cert.kind.value} "
         f"cardinality {cert.cardinality} ({cert.provenance})"
     )
-    if cert.cardinality != len(cert_vs):
-        print(
-            f"structural failure: cardinality {cert.cardinality} != "
-            f"vertex count {len(cert_vs)}",
-            file=sys.stderr,
-        )
-        return 1
     g = make_torus(cert.n, cert.m)
     verdicts = {}
     for kind in DominationKind:

@@ -8,12 +8,13 @@ transformation that breaks its own invariant (overlapping parts, a
 projection that loses domination) raises CertificateError, which
 best_upper_witness does not catch, also under python -O.  Every named
 family validates on its residue class at the size the bound catalog
-claims; best_upper_witness still tries each applicable family and
-returns the smallest one that validates.
+claims; best_upper_witness still builds each applicable family, once
+each, and returns the smallest one that validates.
 
 Also provides the two set transformations used to move witnesses
 between grid sizes: width-3 column normalization and single-row
-projection (with matching repair for paired sets).
+projection (with matching repair for paired sets, on the induced
+subgraph that `validate` builds for its own perfect-matching check).
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .errors import (
 )
 from .formulas import gamma_p_m3, gamma_t_m3, gamma_tp_m4
 from .matching import maximum_matching
-from .torus import TorusDims, TorusGraph, VertexId, VertexSet, induced_edges, make_torus
-from .validate import DominationKind, is_dominating, is_total_dominating, satisfies
+from .torus import TorusDims, TorusGraph, VertexSet, make_torus
+from .validate import DominationKind, _induced_adj, is_dominating, is_total_dominating, satisfies
 
 
 @dataclass(frozen=True)
@@ -409,16 +410,6 @@ def _components(adj: list[list[int]]) -> list[list[int]]:
     return comps
 
 
-def _induced_adj(g: TorusGraph, d: VertexSet) -> tuple[list[VertexId], list[list[int]]]:
-    verts = list(d)
-    index = {v: k for k, v in enumerate(verts)}
-    adj: list[list[int]] = [[] for _ in verts]
-    for a, b in induced_edges(g, d):
-        adj[index[a]].append(index[b])
-        adj[index[b]].append(index[a])
-    return verts, adj
-
-
 def _repair_matching(
     g: TorusGraph, d: VertexSet, budget: int
 ) -> tuple[VertexSet, VertexSet]:
@@ -515,41 +506,44 @@ def project_column(
 def best_upper_witness(n: int, m: int, kind: DominationKind) -> ConstructionResult:
     """Smallest validated pattern covering (n, m) for the given kind.
 
-    Tries every applicable family, skipping those whose builder rejects
-    its set (each validates through `_finish`) or needs a grid above the
-    order cap, and returns the smallest survivor (ties broken by
-    provenance name).
+    Builds each applicable family once, skipping those whose builder
+    rejects its set (each validates through `_finish`) or needs a grid
+    above the order cap, and returns the smallest survivor (ties broken
+    by provenance name).  With both sides 0 (mod 4) the bound pattern is
+    the block tiling, and the cascade's zero-step copy of it loses the
+    name tie, so only the block tiling is built; the cascade is not
+    built again where the bound pattern already fell back to it.
     """
     if kind not in (DominationKind.TOTAL, DominationKind.PAIRED):
         raise InvalidInputError(f"no witness catalog for kind {kind.value}")
     TorusDims(n, m)  # a grid above the order cap is refused before any family
-    builders: list[Callable[[], ConstructionResult]] = []
-    if m == 3:
-        builders.append(lambda: construct_m3(n, kind))
-    if n == 3:
-        builders.append(lambda: _transposed(construct_m3(m, kind)))
-    if m == 4:
-        builders.append(lambda: construct_m4(n))
-    if n == 4:
-        builders.append(lambda: _transposed(construct_m4(m)))
-    if n % 4 == 0 and m % 4 == 0:
-        builders.append(lambda: construct_mod4(n, m))
-    if n >= 5 and m >= 5:
-        builders.append(lambda: construct_bound_pattern(n, m, kind))
-        builders.append(lambda: _projection_cascade(n, m, kind))
+    found: list[ConstructionResult] = []
 
-    found: list[tuple[int, str, ConstructionResult]] = []
-    for build in builders:
+    def attempt(build: Callable[..., ConstructionResult], *args) -> Optional[ConstructionResult]:
         try:
-            res = build()
+            res = build(*args)
         except (ConstructionInvalidError, InstanceTooLargeError):
             # a family that passes through a grid above the order cap, such
             # as the projection cascade's round-up to sides = 0 (mod 4), is
             # skipped like one that fails
-            continue
-        res = dataclasses.replace(res, kind=kind)
-        found.append((res.claimed_cardinality, res.provenance, res))
+            return None
+        found.append(dataclasses.replace(res, kind=kind))
+        return res
+
+    if m == 3:
+        attempt(construct_m3, n, kind)
+    if n == 3 and m != 3:
+        attempt(lambda: _transposed(construct_m3(m, kind)))
+    if m == 4:
+        attempt(construct_m4, n)
+    if n == 4 and m != 4:
+        attempt(lambda: _transposed(construct_m4(m)))
+    if n % 4 == 0 and m % 4 == 0:
+        attempt(construct_mod4, n, m)
+    elif n >= 5 and m >= 5:
+        named = attempt(construct_bound_pattern, n, m, kind)
+        if named is None or named.provenance != "projection-cascade":
+            attempt(_projection_cascade, n, m, kind)
     if not found:
         raise ConstructionInvalidError(f"no valid {kind.value} pattern covers {n}x{m}")
-    found.sort(key=lambda t: (t[0], t[1]))
-    return found[0][2]
+    return min(found, key=lambda res: (res.claimed_cardinality, res.provenance))

@@ -44,9 +44,8 @@ from typing import Iterator, Optional
 from .construct import best_upper_witness
 from .errors import CertificateError, InstanceTooLargeError, InvalidInputError
 from .formulas import lower_bound_paired, lower_bound_regular
-from .matching import maximum_matching
 from .torus import TorusDims, TorusGraph, VertexSet, make_torus
-from .validate import DominationKind, is_efficient_total, satisfies
+from .validate import DominationKind, has_perfect_matching, is_efficient_total, satisfies
 
 ORACLE_CAP = 24
 ORACLE_AUTO_CAP = 20
@@ -92,17 +91,6 @@ def _check_kind(kind: DominationKind) -> None:
         raise InvalidInputError(f"solvers accept plain, total or paired, got {kind!r}")
 
 
-def _has_perfect_pairing(g: TorusGraph, slots: list[int]) -> bool:
-    index = {s: k for k, s in enumerate(slots)}
-    adj: list[list[int]] = [[] for _ in slots]
-    for k, s in enumerate(slots):
-        for t in g.nbr_slots[s]:
-            if t in index and t > s:
-                adj[k].append(index[t])
-                adj[index[t]].append(k)
-    return -1 not in maximum_matching(adj)
-
-
 def solve_oracle(n: int, m: int, kind: DominationKind) -> SolveResult:
     """Exact minimum by subset enumeration, nondecreasing in cardinality.
 
@@ -131,7 +119,7 @@ def solve_oracle(n: int, m: int, kind: DominationKind) -> SolveResult:
         if left == 0:
             if covered != full:
                 return None
-            if paired and not _has_perfect_pairing(g, chosen):
+            if paired and has_perfect_matching(g, VertexSet.from_slots(g.dims, chosen)) is None:
                 return None
             return list(chosen)
         uncovered = full & ~covered

@@ -7,6 +7,11 @@ dominating set is a dominating set whose induced subgraph has a perfect
 matching.  An efficient total dominating set hits every closed demand
 exactly once: each vertex of the graph has exactly one neighbour in the
 set.
+
+The subgraph a set induces is built for the blossom matcher in one
+place, `_induced_adj`: the perfect-matching check here (which the exact
+oracle also asks), and the matching repair and odd-component count of
+`construct.project_column`, all use it.
 """
 
 from __future__ import annotations
@@ -90,6 +95,18 @@ def is_total_dominating(g: TorusGraph, d: VertexSet) -> bool:
     return covered == g.full_mask
 
 
+def _induced_adj(g: TorusGraph, d: VertexSet) -> tuple[list[VertexId], list[list[int]]]:
+    """The members of d in slot order, and the adjacency lists of the
+    subgraph they induce, indexed by position in that order."""
+    verts = list(d)
+    index = {v: k for k, v in enumerate(verts)}
+    adj: list[list[int]] = [[] for _ in verts]
+    for a, b in induced_edges(g, d):
+        adj[index[a]].append(index[b])
+        adj[index[b]].append(index[a])
+    return verts, adj
+
+
 def has_perfect_matching(g: TorusGraph, d: VertexSet) -> Optional[MatchingWitness]:
     """A perfect matching of the subgraph induced by d, or None."""
     _check_pair(g, d)
@@ -97,12 +114,7 @@ def has_perfect_matching(g: TorusGraph, d: VertexSet) -> Optional[MatchingWitnes
         return None
     if not d:
         return MatchingWitness(())
-    verts = list(d)
-    index = {v: k for k, v in enumerate(verts)}
-    adj: list[list[int]] = [[] for _ in verts]
-    for a, b in induced_edges(g, d):
-        adj[index[a]].append(index[b])
-        adj[index[b]].append(index[a])
+    verts, adj = _induced_adj(g, d)
     mate = maximum_matching(adj)
     if -1 in mate:
         return None

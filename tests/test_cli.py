@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import importlib
 import io
 import json
@@ -140,6 +141,19 @@ def test_verify_detects_tampered_cardinality(tmp_path, capsys):
     assert "structural failure" in capsys.readouterr().err
 
 
+def test_verify_rejects_unsorted_or_duplicated_vertex_lists(tmp_path, capsys):
+    # one set has one accepted byte form: the same set with its vertices
+    # reversed, or with a member listed twice, is a structural failure
+    path = tmp_path / "cert.json"
+    main(["construct", "--n", "8", "--m", "4", "--kind", "paired", "--out", str(path)])
+    capsys.readouterr()
+    cert = load_certificate(path)
+    for vertices in (cert.vertices[::-1], cert.vertices[:1] + cert.vertices):
+        dataclasses.replace(cert, vertices=vertices).save(path)
+        assert main(["verify", str(path)]) == 1
+        assert "structural failure" in capsys.readouterr().err
+
+
 def test_verify_rejects_noncanonical_file(tmp_path, capsys):
     path = tmp_path / "cert.json"
     main(["construct", "--n", "8", "--m", "4", "--kind", "paired", "--out", str(path)])
@@ -199,7 +213,8 @@ def test_solve_writes_certificate_and_cache(tmp_path, capsys):
 
 
 def test_certificate_checks_run_under_optimize(tmp_path):
-    # python -O strips asserts; solve and verify must still check and succeed
+    # python -O strips asserts; solve and verify must still check and succeed,
+    # and verify must still refuse a vertex list out of slot order
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
     def cli(*args):
@@ -221,6 +236,11 @@ def test_certificate_checks_run_under_optimize(tmp_path):
     audited = cli("audit", "--n", "9", "--m", "5", "--cache-dir", str(tmp_path / "cache"))
     assert audited.returncode == 0, audited.stderr
     assert "audit passed" in audited.stdout
+    cert = load_certificate(path)
+    dataclasses.replace(cert, vertices=cert.vertices[::-1]).save(path)
+    reversed_list = cli("verify", str(path))
+    assert reversed_list.returncode == 1
+    assert "structural failure" in reversed_list.stderr
 
 
 def test_solve_sandwich_route(capsys, tmp_path):
@@ -350,7 +370,6 @@ SANDWICH_FIRST = {(3, 7), (4, 8), (5, 7), (7, 3), (7, 5), (8, 4), (10, 3), (11, 
 def table_cells():
     """(exact, method, witnesses built) of each cell of `table --n 3..12
     --m 3..8` for every kind, each cell run on its own."""
-    # the package attribute torusdom.solve is the function, so fetch the module
     modules = [importlib.import_module(f"torusdom.{name}") for name in ("solve", "cli")]
     real = modules[0].best_upper_witness
     builds = []

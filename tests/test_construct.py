@@ -409,6 +409,65 @@ def test_best_upper_witness_always_validates():
                 assert len(res.vertex_set) == res.claimed_cardinality
 
 
+FAMILY_BUILDERS = (
+    "construct_m3", "construct_m4", "construct_mod4", "construct_bound_pattern",
+    "_projection_cascade",
+)
+
+
+def test_best_upper_witness_builds_each_family_once(monkeypatch):
+    module = importlib.import_module("torusdom.construct")
+    calls = []
+
+    def counting(name, real):
+        def build(*args):
+            calls.append((name, args))
+            return real(*args)
+        return build
+
+    for name in FAMILY_BUILDERS:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for n in range(3, 17):
+        for m in range(3, 17):
+            for kind in (TOTAL, PAIRED):
+                calls.clear()
+                best_upper_witness(n, m, kind)
+                assert len(calls) == len(set(calls)), (n, m, kind, calls)
+
+
+def test_best_upper_witness_is_the_least_family_built_directly():
+    module = importlib.import_module("torusdom.construct")
+    for n in range(3, 17):
+        for m in range(3, 17):
+            for kind in (TOTAL, PAIRED):
+                builds = []
+                if m == 3:
+                    builds.append(lambda: construct_m3(n, kind))
+                if n == 3:
+                    builds.append(lambda: module._transposed(construct_m3(m, kind)))
+                if m == 4:
+                    builds.append(lambda: construct_m4(n))
+                if n == 4:
+                    builds.append(lambda: module._transposed(construct_m4(m)))
+                if n % 4 == 0 and m % 4 == 0:
+                    builds.append(lambda: construct_mod4(n, m))
+                if n >= 5 and m >= 5:
+                    builds.append(lambda: construct_bound_pattern(n, m, kind))
+                    builds.append(lambda: module._projection_cascade(n, m, kind))
+                direct = []
+                for build in builds:
+                    try:
+                        res = build()
+                    except ConstructionInvalidError:
+                        continue
+                    direct.append((res.claimed_cardinality, res.provenance, res.vertex_set))
+                got = best_upper_witness(n, m, kind)
+                assert got.kind is kind
+                assert (got.claimed_cardinality, got.provenance, got.vertex_set) == min(
+                    direct, key=lambda t: t[:2]
+                ), (n, m, kind)
+
+
 def test_best_upper_witness_rejects_plain():
     with pytest.raises(InvalidInputError):
         best_upper_witness(5, 5, DominationKind.PLAIN)

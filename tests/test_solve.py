@@ -354,7 +354,6 @@ def _least_extension(width, kind, state, k, budget):
 @pytest.mark.parametrize("kind", [PLAIN, TOTAL, PAIRED])
 @pytest.mark.parametrize("width", [3, 4, 5])
 def test_row_bounds_are_admissible_and_tight(width, kind):
-    # the module, not the package attribute torusdom.solve, which is the function
     module = importlib.import_module("torusdom.solve")
     states = module._row_moves(width, kind)[0]
     lb = module._row_bounds(width, kind, 3)
@@ -398,7 +397,6 @@ def test_row_moves_match_the_row_tables(width, kind):
 
 def test_dp_rejects_invalid_certificate(monkeypatch):
     # the check must raise, not assert, so that it also runs under python -O
-    # the package attribute torusdom.solve is the function, so fetch the module
     module = importlib.import_module("torusdom.solve")
     monkeypatch.setattr(module, "satisfies", lambda g, d, kind: False)
     with pytest.raises(CertificateError):
