@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedClassError,
 )
 from .formulas import known_value, upper_bounds
-from .solve import ORACLE_CAP, solve, solve_oracle, solve_within_reach
+from .solve import canonical, solve, solve_within_reach
 from .torus import make_torus
 from .validate import (
     DominationKind,
@@ -139,28 +139,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _canonical_certificate(res_set, n: int, m: int, kind: DominationKind):
-    """Lexicographically least certificate: exact over the oracle range,
-    otherwise the least member of the certificate's rotation orbit."""
-    if n * m <= ORACLE_CAP:
-        return solve_oracle(n, m, kind).certificate
-    best = None
-    for di in range(n):
-        for dj in range(m):
-            cand = res_set.rotated(di, dj)
-            key = [s for s in range(n * m) if cand.mask >> s & 1]
-            if best is None or key < best[0]:
-                best = (key, cand)
-    return best[1]
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     kind = _kind(args)
     res = solve(args.n, args.m, kind, args.method)
-    cert_set = res.certificate
-    if args.canonical:
-        cert_set = _canonical_certificate(cert_set, args.n, args.m, kind)
-    cert = Certificate.from_vertex_set(cert_set, kind, f"solver:{res.method.value}")
+    emitted = canonical(res) if args.canonical else res
+    cert = Certificate.from_vertex_set(emitted.certificate, kind, f"solver:{emitted.method.value}")
     cert.check()
     cache = ResultCache(args.cache_dir)
     prior = cache.get(args.n, args.m, kind, args.method)
@@ -170,6 +153,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
+    if args.out:
+        cert.save(args.out)
     cache.put(args.n, args.m, kind, args.method, res.value, cert.digest())
     print(
         f"{_GAMMA[kind]}({args.n},{args.m}) = {res.value} "
@@ -177,7 +162,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     )
     print(f"  certificate digest {cert.digest()}")
     if args.out:
-        cert.save(args.out)
         print(f"  wrote {args.out}")
     return 0
 

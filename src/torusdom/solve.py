@@ -13,7 +13,8 @@ Four engines, each certifying optimality a different way:
   and certificates unchanged: one seed per orbit of the width ring's
   rotations and reflections, costs bounded by the best set found so
   far, and a backward lower bound on the cost of the rows still to
-  come;
+  come.  Bounded at nm/4 total members, it also finds the efficient
+  total dominating sets (`find_efficient_tds`);
 * a branch-and-bound over disjoint adjacent pairs for paired sets on
   grids too wide for the DP, with iterative deepening from the
   parity-rounded degree bound so exhaustion below the answer is the
@@ -24,8 +25,9 @@ Four engines, each certifying optimality a different way:
 * a sandwich shortcut when a validated pattern meets the degree bound,
   which certifies without any search.
 
-Only `solve`, with `solve_paired` as its paired branch, orders the
-engines; `solve_within_reach` holds the limits `table` and `audit` keep.
+The auto order is written once, in `_auto`: `solve`, `solve_paired` and
+`solve_within_reach` (which keeps `table` and `audit` within their limits)
+enter it, and `canonical` picks the certificate `solve --canonical` emits.
 
 All engines are deterministic: ties break toward the first candidate
 in sorted order, and repeated runs return identical certificates.
@@ -38,7 +40,7 @@ import enum
 import functools
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from .construct import best_upper_witness
@@ -51,7 +53,6 @@ ORACLE_CAP = 24
 ORACLE_AUTO_CAP = 20
 PROFILE_WIDTH_CAP = 8
 PAIRED_WIDTH_CAP = 6
-EFFICIENT_WIDTH_CAP = 8
 # how far `solve_within_reach` lets the DP and the pair search run
 REACH_DP_WIDTH = 5
 REACH_PAIRED_ORDER = 36
@@ -191,18 +192,6 @@ def _witness_upper(n: int, m: int, kind: DominationKind) -> VertexSet:
     return best_upper_witness(n, m, catalog_kind).vertex_set
 
 
-def _sandwich(
-    g: TorusGraph, witness: VertexSet, kind: DominationKind, t0: float
-) -> Optional[SolveResult]:
-    """The total or paired witness as the optimum when its size meets the
-    degree bound (rounded up to even when paired), else None."""
-    n, m = g.dims.n, g.dims.m
-    lo = lower_bound_paired(n, m) if kind is DominationKind.PAIRED else lower_bound_regular(n, m)
-    if len(witness) != lo:
-        return None
-    return _result(g, lo, witness, kind, SolveMethod.SANDWICH, t0)
-
-
 @functools.lru_cache(maxsize=None)
 def _cycle_leftovers(w: int) -> tuple[tuple[int, ...], ...]:
     """For each member mask of a width-w ring: leftover masks reachable by
@@ -312,8 +301,11 @@ def _check_dp_width(n: int, m: int, kind: DominationKind) -> None:
         raise InstanceTooLargeError(f"{engine} width cap is {cap}, got {min(n, m)}")
 
 
-def _row_sweep(n: int, m: int, kind: DominationKind, witness: VertexSet, t0: float) -> SolveResult:
-    """Exact plain, total or paired minimum via a cyclic row-sweep DP.
+def _row_sweep(
+    n: int, m: int, kind: DominationKind, bound: int, t0: float
+) -> Optional[SolveResult]:
+    """The least plain, total or paired set of at most `bound` members, via
+    a cyclic row-sweep DP, or None when no set fits the bound.
 
     The state after each row is (membership mask, mask of that row's
     vertices still needing a dominator from the next row, mask of members
@@ -324,9 +316,10 @@ def _row_sweep(n: int, m: int, kind: DominationKind, witness: VertexSet, t0: flo
     seeds: the first row's membership, a guess of which of its needs the
     second row meets (the last row must meet the rest), and for paired
     sets the first-row members the last row claims as partners.  Some
-    rotated optimum has at most floor(witness size / rows) members in its
-    first row, so seeds are capped there.  The caller builds the witness
-    and checks the width cap (`_check_dp_width`).
+    rotation of any set within the bound has at most floor(bound / rows)
+    members in its first row, so seeds are capped there.  The caller
+    chooses the bound (a witness's size, or nm/4 for an efficient set) and
+    checks the width cap (`_check_dp_width`).
 
     States are numbered once per width and kind in ascending tuple order,
     and every transition is read from one move table (`_row_moves`), which
@@ -349,8 +342,8 @@ def _row_sweep(n: int, m: int, kind: DominationKind, witness: VertexSet, t0: flo
       masks at once.  Each such map, applied to every row, is a torus
       automorphism, so every image of s* reaches the optimum too, and s*
       is kept.
-    * Incumbent: the bound starts at the witness size and becomes one
-      less than each best set found.
+    * Incumbent: the bound starts at `bound` and becomes one less than
+      each best set found.
     * Lower bound: a transition to state number j with k rows after it is
       dropped when its cost plus lb[k][j] (`_row_bounds`, the least cost
       of k more rows, closure ignored) exceeds the bound.  Rows are tried
@@ -381,10 +374,9 @@ def _row_sweep(n: int, m: int, kind: DominationKind, witness: VertexSet, t0: flo
         for r in range(width)
         for s in (1, -1)
     ]
-    ub = len(witness)
     seeds = [
         (c1, u1, x1, w1)
-        for c1 in range(full + 1) if pop[c1] <= ub // length
+        for c1 in range(full + 1) if pop[c1] <= bound // length
         for u1 in _subsets(need[c1])
         for x1 in (_subsets(c1) if paired else (0,))
         for w1 in leftovers[c1 & ~x1]
@@ -393,13 +385,12 @@ def _row_sweep(n: int, m: int, kind: DominationKind, witness: VertexSet, t0: flo
     states, moves = _row_moves(width, kind)
     lb = _row_bounds(width, kind, length - 2)
     floors = [min(rest) for rest in lb]
-    bound = ub
     best: Optional[tuple[int, list[int]]] = None
     for c1, u1, x1, w1 in seeds:
         r1 = need[c1] & ~u1  # first-row needs the last row must meet
         # closing[j]: 0 if state j closes with the seed, else past any bound
         closing = [
-            0 if not u & ~c1 and not r1 & ~c and w == x1 else ub + 1 for c, u, w in states
+            0 if not u & ~c1 and not r1 & ~c and w == x1 else bound + 1 for c, u, w in states
         ]
         # layers[t] maps state number -> (cost, previous state number)
         layer: dict[int, tuple[int, Optional[int]]] = {
@@ -432,27 +423,37 @@ def _row_sweep(n: int, m: int, kind: DominationKind, witness: VertexSet, t0: flo
             best = (cost, rows[::-1])
             bound = cost - 1
 
-    if best is None or best[0] > ub:
-        raise CertificateError(f"no {kind.value} set on {n}x{m} within the witness size {ub}")
+    if best is None:
+        return None
     value, rows = best
     cert = _rows_to_set(rows, length, width, transposed)
     return _result(make_torus(n, m), value, cert, kind, SolveMethod.PROFILE_DP, t0)
+
+
+def _dp(
+    n: int, m: int, kind: DominationKind, t0: float, witness: Optional[VertexSet] = None
+) -> SolveResult:
+    """The row sweep within the DP's width cap, bounded by the catalog
+    witness (built here, after the cap is checked, unless given), which it
+    must reach."""
+    _check_dp_width(n, m, kind)
+    ub = len(_witness_upper(n, m, kind) if witness is None else witness)
+    found = _row_sweep(n, m, kind, ub, t0)
+    if found is None:
+        raise CertificateError(f"no {kind.value} set on {n}x{m} within the witness size {ub}")
+    return found
 
 
 def solve_profile_dp(n: int, m: int, kind: DominationKind) -> SolveResult:
     """Exact plain or total minimum via the row-sweep DP (`_row_sweep`)."""
     if kind not in (DominationKind.PLAIN, DominationKind.TOTAL):
         raise InvalidInputError(f"profile DP handles plain or total, got {kind.value}")
-    t0 = time.perf_counter()
-    _check_dp_width(n, m, kind)
-    return _row_sweep(n, m, kind, _witness_upper(n, m, kind), t0)
+    return _dp(n, m, kind, time.perf_counter())
 
 
 def solve_paired_dp(n: int, m: int) -> SolveResult:
     """Exact paired minimum via the row-sweep DP (`_row_sweep`)."""
-    t0 = time.perf_counter()
-    _check_dp_width(n, m, DominationKind.PAIRED)
-    return _row_sweep(n, m, DominationKind.PAIRED, _witness_upper(n, m, DominationKind.PAIRED), t0)
+    return _dp(n, m, DominationKind.PAIRED, time.perf_counter())
 
 
 def _root_maps(n: int, m: int) -> list[list[int]]:
@@ -538,69 +539,28 @@ def _paired_search(n: int, m: int, incumbent: VertexSet, t0: float) -> SolveResu
 
 
 def solve_paired(n: int, m: int) -> SolveResult:
-    """Exact paired minimum: sandwich if a pattern meets the parity-rounded
-    degree bound, the oracle on tiny grids, pair search otherwise."""
-    t0 = time.perf_counter()
-    g = make_torus(n, m)
-    witness = _witness_upper(n, m, DominationKind.PAIRED)
-    found = _sandwich(g, witness, DominationKind.PAIRED, t0)
-    if found is not None:
-        return found
-    if g.dims.order <= ORACLE_AUTO_CAP:
-        return solve_oracle(n, m, DominationKind.PAIRED)
-    return _paired_search(n, m, witness, t0)
+    """Exact paired minimum in the auto order (`_auto`)."""
+    return _auto(n, m, DominationKind.PAIRED, reach=False)
 
 
 def find_efficient_tds(n: int, m: int) -> Optional[VertexSet]:
     """An efficient total dominating set, or None when none exists.
 
-    Marches row by row: once two consecutive row masks are fixed, the
-    requirement that every vertex between them is dominated exactly
-    once forces every further row, so seeds are just the first two
-    masks.  Wraparound is checked on the final and first rows.
+    A total dominating set of nm/4 members dominates every vertex exactly
+    once, since each member dominates four; so this is the row sweep
+    bounded at nm/4, within the DP's width cap.
     """
-    TorusDims(n, m)  # sides and order are checked before any row is marched
+    t0 = time.perf_counter()
+    TorusDims(n, m)  # sides and order are checked before any row is swept
     if (n * m) % 4:
         return None
-    length, width, transposed = _orient(n, m)
-    if width > EFFICIENT_WIDTH_CAP:
-        raise InstanceTooLargeError(
-            f"efficient-set march width cap is {EFFICIENT_WIDTH_CAP}, got {width}"
-        )
-    full = (1 << width) - 1
-
-    def exact_one(a: int, b: int, c: int, d: int) -> bool:
-        overlap = (a & b) | (a & c) | (a & d) | (b & c) | (b & d) | (c & d)
-        return (a ^ b ^ c ^ d) == full and not overlap
-
-    for c1 in range(full + 1):
-        for c2 in range(full + 1):
-            cols = [c1, c2]
-            dead = False
-            for _ in range(length - 2):
-                prev, cur = cols[-2], cols[-1]
-                left = _rot_left(cur, width, full)
-                right = _rot_right(cur, width, full)
-                if (left & right) | (left & prev) | (right & prev):
-                    dead = True
-                    break
-                cols.append(full & ~(left | right | prev))
-            if dead:
-                continue
-            last, first = cols[-1], cols[0]
-            if not exact_one(
-                _rot_left(last, width, full), _rot_right(last, width, full), cols[-2], first
-            ):
-                continue
-            if not exact_one(
-                _rot_left(first, width, full), _rot_right(first, width, full), last, cols[1]
-            ):
-                continue
-            found = _rows_to_set(cols, length, width, transposed)
-            if len(found) != n * m // 4 or not is_efficient_total(make_torus(n, m), found):
-                raise CertificateError(f"march on {n}x{m} built a set that is not efficient")
-            return found
-    return None
+    _check_dp_width(n, m, DominationKind.TOTAL)
+    found = _row_sweep(n, m, DominationKind.TOTAL, n * m // 4, t0)
+    if found is None:
+        return None
+    if not is_efficient_total(make_torus(n, m), found.certificate):
+        raise CertificateError(f"row sweep on {n}x{m} built a set that is not efficient")
+    return found.certificate
 
 
 def enumerate_total_dominating_sets(n: int, m: int, max_size: int) -> Iterator[VertexSet]:
@@ -647,17 +607,57 @@ def enumerate_total_dominating_sets(n: int, m: int, max_size: int) -> Iterator[V
         yield VertexSet(g.dims, mask)
 
 
+def _auto(n: int, m: int, kind: DominationKind, reach: bool) -> SolveResult:
+    """The one auto order.  Plain and total sets: the oracle up to
+    ORACLE_AUTO_CAP vertices, then the sandwich certificate (total only),
+    then the DP.  Paired sets: the sandwich, then the oracle, then the
+    pair search.  The catalog witness is built at most once and bounds
+    whichever engine runs.
+
+    With `reach`, the DP runs only up to width REACH_DP_WIDTH and the pair
+    search only up to REACH_PAIRED_ORDER vertices, the limits `table` and
+    `audit` keep; both contain the oracle's range.  A step beyond its
+    limit raises InstanceTooLargeError naming it, for plain sets before
+    any witness is built.
+    """
+    _check_kind(kind)
+    t0 = time.perf_counter()
+    g = make_torus(n, m)
+    order = g.dims.order
+    paired = kind is DominationKind.PAIRED
+    if paired:
+        beyond = reach and order > REACH_PAIRED_ORDER
+        limit = f"pair-search limit is {REACH_PAIRED_ORDER} vertices, got {order}"
+    else:
+        beyond = reach and min(n, m) > REACH_DP_WIDTH
+        limit = f"DP width limit is {REACH_DP_WIDTH}, got {min(n, m)}"
+    if not paired and order <= ORACLE_AUTO_CAP:
+        return solve_oracle(n, m, kind)
+    if kind is DominationKind.PLAIN:
+        if beyond:
+            raise InstanceTooLargeError(limit)
+        return solve_profile_dp(n, m, kind)
+    witness = _witness_upper(n, m, kind)
+    # the sandwich: a witness at the degree bound (even when paired) is optimal
+    lo = lower_bound_paired(n, m) if paired else lower_bound_regular(n, m)
+    if len(witness) == lo:
+        return _result(g, lo, witness, kind, SolveMethod.SANDWICH, t0)
+    if paired and order <= ORACLE_AUTO_CAP:
+        return solve_oracle(n, m, kind)
+    if beyond:
+        raise InstanceTooLargeError(limit)
+    if paired:
+        return _paired_search(n, m, witness, t0)
+    return _dp(n, m, kind, t0, witness)
+
+
 def solve(
     n: int, m: int, kind: DominationKind, method: str = "auto"
 ) -> SolveResult:
     """Front door: pick the cheapest certifying engine for the instance.
 
-    method "oracle" and "dp" force those engines.  "auto" tries, for
-    plain and total sets, the oracle on tiny grids, then the sandwich
-    certificate (total only), then the DP; for paired sets
-    (`solve_paired`), the sandwich, then the oracle on tiny grids, then
-    the pair search.  The catalog witness is built at most once and
-    bounds whichever engine runs.
+    method "oracle" and "dp" force those engines; "auto" walks the auto
+    order (`_auto`).
     """
     _check_kind(kind)
     if method == "oracle":
@@ -667,43 +667,25 @@ def solve(
         return solve_paired_dp(n, m) if paired else solve_profile_dp(n, m, kind)
     if method != "auto":
         raise InvalidInputError(f"unknown method {method!r}")
-    if kind is DominationKind.PAIRED:
-        return solve_paired(n, m)
-    t0 = time.perf_counter()
-    g = make_torus(n, m)
-    if g.dims.order <= ORACLE_AUTO_CAP:
-        return solve_oracle(n, m, kind)
-    if kind is DominationKind.PLAIN:
-        return solve_profile_dp(n, m, kind)
-    witness = _witness_upper(n, m, kind)
-    found = _sandwich(g, witness, kind, t0)
-    if found is not None:
-        return found
-    _check_dp_width(n, m, kind)
-    return _row_sweep(n, m, kind, witness, t0)
+    return _auto(n, m, kind, reach=False)
 
 
 def solve_within_reach(n: int, m: int, kind: DominationKind) -> SolveResult:
-    """`solve(n, m, kind)` within the limits that `table` and `audit` keep:
-    the DP up to width REACH_DP_WIDTH and the pair search up to
-    REACH_PAIRED_ORDER vertices, which both contain the oracle's auto
-    range.  Beyond them only a sandwich certificate answers; otherwise
-    InstanceTooLargeError names the limit, for plain sets before any
-    witness is built."""
-    _check_kind(kind)
-    t0 = time.perf_counter()
-    g = make_torus(n, m)
-    if kind is DominationKind.PAIRED:
-        within = g.dims.order <= REACH_PAIRED_ORDER
-        limit = f"pair-search limit is {REACH_PAIRED_ORDER} vertices, got {g.dims.order}"
-    else:
-        within = min(n, m) <= REACH_DP_WIDTH
-        limit = f"DP width limit is {REACH_DP_WIDTH}, got {min(n, m)}"
-    if within:
-        return solve(n, m, kind)
-    if kind is DominationKind.PLAIN:
-        raise InstanceTooLargeError(limit)
-    found = _sandwich(g, _witness_upper(n, m, kind), kind, t0)
-    if found is None:
-        raise InstanceTooLargeError(limit)
-    return found
+    """`solve(n, m, kind)` within the limits that `table` and `audit` keep
+    (`_auto` with its reach checked)."""
+    return _auto(n, m, kind, reach=True)
+
+
+def canonical(res: SolveResult) -> SolveResult:
+    """The result whose certificate `solve --canonical` emits: the
+    oracle's, which is the lexicographically least optimum, up to
+    ORACLE_CAP vertices (`res` itself when the oracle built it); beyond,
+    the least member of the rotation orbit of `res`'s certificate."""
+    dims = res.certificate.dims
+    if res.method is SolveMethod.ORACLE:
+        return res
+    if dims.order <= ORACLE_CAP:
+        return solve_oracle(dims.n, dims.m, res.kind)
+    rotations = (res.certificate.rotated(di, dj) for di in range(dims.n) for dj in range(dims.m))
+    least = min(rotations, key=lambda d: [s for s in range(dims.order) if d.mask >> s & 1])
+    return replace(res, certificate=least)

@@ -243,6 +243,24 @@ def test_certificate_checks_run_under_optimize(tmp_path):
     assert "structural failure" in reversed_list.stderr
 
 
+def test_solve_writes_its_certificate_before_printing(tmp_path):
+    # stdout is a pipe nobody reads; the print fails, the certificate must not
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    path = tmp_path / "cert.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        subprocess.run(
+            [sys.executable, "-m", "torusdom.cli", "solve", "--n", "6", "--m", "4",
+             "--kind", "total", "--out", str(path), "--cache-dir", str(tmp_path / "cache")],
+            env=env, stdout=write_end, stderr=subprocess.DEVNULL, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert path.exists()
+    load_certificate(path).check()
+
+
 def test_solve_sandwich_route(capsys, tmp_path):
     rc = main(
         ["solve", "--n", "5", "--m", "4", "--kind", "paired",
@@ -310,6 +328,42 @@ def test_solve_canonical_large_grid_starts_at_origin(tmp_path, capsys):
     cert = load_certificate(cert_path)
     cert.check()
     assert cert.vertices[0] == (1, 1)
+
+
+@pytest.mark.parametrize("n, m, kind", [(4, 6, "total"), (3, 7, "paired")])
+def test_solve_canonical_credits_the_oracle_that_built_the_set(n, m, kind, tmp_path, capsys):
+    # auto answers these with the DP or the sandwich; the emitted set is the oracle's
+    cert_path = tmp_path / "canon.json"
+    rc = main(
+        ["solve", "--n", str(n), "--m", str(m), "--kind", kind, "--canonical",
+         "--out", str(cert_path), "--cache-dir", str(tmp_path / "c")]
+    )
+    assert rc == 0
+    assert "method oracle" not in capsys.readouterr().out
+    cert = load_certificate(cert_path)
+    assert cert.provenance == "solver:oracle"
+    assert cert.vertex_set() == solve_oracle(n, m, cert.kind).certificate
+
+
+def test_solve_canonical_reuses_the_auto_oracle_result(monkeypatch, tmp_path, capsys):
+    modules = [importlib.import_module(f"torusdom.{name}") for name in ("solve", "cli")]
+    real = modules[0].solve_oracle
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in modules:
+        if hasattr(module, "solve_oracle"):
+            monkeypatch.setattr(module, "solve_oracle", counting)
+    rc = main(
+        ["solve", "--n", "4", "--m", "5", "--kind", "total", "--canonical",
+         "--out", str(tmp_path / "canon.json"), "--cache-dir", str(tmp_path / "c")]
+    )
+    assert rc == 0
+    assert "method oracle" in capsys.readouterr().out
+    assert calls == [(4, 5, TOTAL)]
 
 
 def test_table_csv_stdout(capsys):

@@ -23,6 +23,7 @@ from torusdom.solve import (
     solve_paired,
     solve_paired_dp,
     solve_profile_dp,
+    solve_within_reach,
 )
 from torusdom.torus import VertexSet, make_torus
 from torusdom.validate import (
@@ -418,6 +419,39 @@ def test_efficient_sets_exist_exactly_when_expected():
 def test_efficient_march_width_cap():
     with pytest.raises(InstanceTooLargeError):
         find_efficient_tds(12, 9)
+
+
+def test_efficient_sets_on_every_side_from_3_to_12():
+    # the answers of the former row march, which looked for these sets alone
+    for n in range(3, 13):
+        for m in range(3, 13):
+            if (n * m) % 4 == 0 and min(n, m) > 8:
+                with pytest.raises(InstanceTooLargeError):
+                    find_efficient_tds(n, m)
+                continue
+            found = find_efficient_tds(n, m)
+            if n % 4 == 0 and m % 4 == 0:
+                assert found is not None, (n, m)
+                assert len(found) == n * m // 4
+                assert is_efficient_total(make_torus(n, m), found)
+            else:
+                assert found is None, (n, m)
+
+
+def test_solve_within_reach_answers_as_solve_does():
+    answered = 0
+    for kind in (PLAIN, TOTAL, PAIRED):
+        for n in range(3, 13):
+            for m in range(3, 9):
+                try:
+                    bounded = solve_within_reach(n, m, kind)
+                except InstanceTooLargeError:
+                    continue
+                answered += 1
+                res = solve(n, m, kind)
+                expected = (res.value, res.method, res.certificate.mask)
+                assert (bounded.value, bounded.method, bounded.certificate.mask) == expected
+    assert answered == 180 - 65  # table leaves 65 of these cells blank
 
 
 def _brute_total_sets(n, m, max_size):
