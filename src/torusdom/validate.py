@@ -8,6 +8,11 @@ matching.  An efficient total dominating set hits every closed demand
 exactly once: each vertex of the graph has exactly one neighbour in the
 set.
 
+Every check runs in time linear in the grid's order and builds no mask
+per vertex: plain and total domination compare the set's neighbourhood,
+four shifts of its mask (`TorusGraph.neighbourhood`), with the full
+grid, and the members are listed once from the mask's bits.
+
 The subgraph a set induces is built for the blossom matcher in one
 place, `_induced_adj`: the perfect-matching check here (which the exact
 oracle also asks), and the matching repair and odd-component count of
@@ -22,7 +27,7 @@ from typing import Optional
 
 from .errors import CertificateError, InvalidInputError
 from .matching import maximum_matching
-from .torus import TorusGraph, VertexId, VertexSet, induced_edges
+from .torus import TorusGraph, VertexId, VertexSet, set_slots
 
 
 class DominationKind(enum.Enum):
@@ -40,15 +45,15 @@ class MatchingWitness:
 
     def check(self, g: TorusGraph, d: VertexSet) -> bool:
         """True iff the pairs are disjoint grid edges inside d covering all of d."""
-        seen = 0
+        seen: set[int] = set()
         for a, b in self.pairs:
             sa, sb = g.dims.slot(a), g.dims.slot(b)
-            if not (g.nbr_masks[sa] >> sb & 1):
+            if sb not in g.nbr_slots[sa]:
                 return False
-            if seen >> sa & 1 or seen >> sb & 1:
+            if sa in seen or sb in seen:
                 return False
-            seen |= 1 << sa | 1 << sb
-        return seen == d.mask
+            seen.update((sa, sb))
+        return seen == set(set_slots(d.mask))
 
 
 @dataclass(frozen=True)
@@ -76,35 +81,29 @@ def _check_pair(g: TorusGraph, d: VertexSet) -> None:
 def domination_multiplicity(g: TorusGraph, d: VertexSet) -> list[int]:
     """For each slot, how many of its neighbours lie in d."""
     _check_pair(g, d)
-    return [(mask & d.mask).bit_count() for mask in g.nbr_masks]
+    inside = bytearray(g.dims.order)
+    for s in set_slots(d.mask):
+        inside[s] = 1
+    return [inside[a] + inside[b] + inside[c] + inside[e] for a, b, c, e in g.nbr_slots]
 
 
 def is_dominating(g: TorusGraph, d: VertexSet) -> bool:
     _check_pair(g, d)
-    covered = d.mask
-    for v in d:
-        covered |= g.nbr_masks[g.dims.slot(v)]
-    return covered == g.full_mask
+    return d.mask | g.neighbourhood(d.mask) == g.full_mask
 
 
 def is_total_dominating(g: TorusGraph, d: VertexSet) -> bool:
     _check_pair(g, d)
-    covered = 0
-    for v in d:
-        covered |= g.nbr_masks[g.dims.slot(v)]
-    return covered == g.full_mask
+    return g.neighbourhood(d.mask) == g.full_mask
 
 
 def _induced_adj(g: TorusGraph, d: VertexSet) -> tuple[list[VertexId], list[list[int]]]:
     """The members of d in slot order, and the adjacency lists of the
     subgraph they induce, indexed by position in that order."""
-    verts = list(d)
-    index = {v: k for k, v in enumerate(verts)}
-    adj: list[list[int]] = [[] for _ in verts]
-    for a, b in induced_edges(g, d):
-        adj[index[a]].append(index[b])
-        adj[index[b]].append(index[a])
-    return verts, adj
+    slots = set_slots(d.mask)
+    index = {s: k for k, s in enumerate(slots)}
+    adj = [[index[t] for t in g.nbr_slots[s] if t in index] for s in slots]
+    return [g.dims.vertex(s) for s in slots], adj
 
 
 def has_perfect_matching(g: TorusGraph, d: VertexSet) -> Optional[MatchingWitness]:
@@ -147,12 +146,8 @@ def is_efficient_total(g: TorusGraph, d: VertexSet) -> bool:
         raise CertificateError(f"efficient total set of odd size {len(d)}")
     if has_perfect_matching(g, d) is None:
         raise CertificateError("efficient total set without a perfect matching")
-    union = 0
-    total = 0
-    for v in d:
-        mask = g.nbr_masks[g.dims.slot(v)]
-        union |= mask
-        total += mask.bit_count()
+    union = g.neighbourhood(d.mask)
+    total = sum(len(g.nbr_slots[s]) for s in set_slots(d.mask))
     if union != g.full_mask or total != g.dims.order:
         raise CertificateError("efficient total set neighbourhoods do not partition the grid")
     return True

@@ -20,7 +20,34 @@ from torusdom.torus import (
     induced_edges,
     make_torus,
     map_set,
+    set_slots,
 )
+
+# every grid the kernel reference tests compare on
+SMALL_GRIDS = [(n, m) for n in range(3, 10) for m in range(3, 10)]
+
+
+def _reference_nbr_slots(dims):
+    """The neighbour table built vertex by vertex from wrapped coordinates."""
+    out = []
+    for s in range(dims.order):
+        i, j = s // dims.m + 1, s % dims.m + 1
+        around = ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
+        out.append(tuple(sorted(dims.slot(dims.wrap(a, b)) for a, b in around)))
+    return tuple(out)
+
+
+def _probe_masks(dims, seed):
+    """The empty and full masks, every single slot, and 20 seeded random
+    masks of densities 1/2, 1/4 and 1/8."""
+    rng = random.Random(seed)
+    masks = [0, (1 << dims.order) - 1] + [1 << s for s in range(dims.order)]
+    for k in range(20):
+        mask = rng.getrandbits(dims.order)
+        for _ in range(k % 3):
+            mask &= rng.getrandbits(dims.order)
+        masks.append(mask)
+    return masks
 
 
 def test_dims_rejects_thin_grids():
@@ -138,6 +165,41 @@ def test_graph_is_four_regular():
         for s in range(n * m):
             assert len(g.nbr_slots[s]) == 4
             assert len(set(g.nbr_slots[s])) == 4
+
+
+def test_neighbour_tables_match_the_coordinate_construction():
+    for n, m in SMALL_GRIDS:
+        g = make_torus(n, m)
+        reference = _reference_nbr_slots(g.dims)
+        assert g.nbr_slots == reference, (n, m)
+        assert g.nbr_masks == tuple(sum(1 << t for t in around) for around in reference), (n, m)
+
+
+def test_neighbourhood_is_the_union_of_per_slot_masks():
+    for n, m in SMALL_GRIDS:
+        g = make_torus(n, m)
+        per_slot = [sum(1 << t for t in around) for around in _reference_nbr_slots(g.dims)]
+        for mask in _probe_masks(g.dims, f"{n}x{m}"):
+            expected = 0
+            for s in range(g.dims.order):
+                if mask >> s & 1:
+                    expected |= per_slot[s]
+            assert g.neighbourhood(mask) == expected, (n, m, bin(mask))
+
+
+def test_set_bits_and_slots_round_trip():
+    for n, m in SMALL_GRIDS:
+        dims = TorusDims(n, m)
+        for mask in _probe_masks(dims, f"{n}x{m}"):
+            slots = [s for s in range(dims.order) if mask >> s & 1]
+            assert set_slots(mask) == slots
+            d = VertexSet.from_slots(dims, slots)
+            assert d.mask == mask
+            assert list(d) == [dims.vertex(s) for s in slots]
+            assert VertexSet.from_vertices(dims, d.pairs()) == d
+        for bad in (-1, dims.order):
+            with pytest.raises(OutOfRangeError):
+                VertexSet.from_slots(dims, [0, bad])
 
 
 def test_graph_neighbors_explicit():

@@ -1,7 +1,12 @@
+import random
+import tracemalloc
+
 import pytest
 
+from torusdom.certificates import Certificate
+from torusdom.construct import best_upper_witness, construct_bound_pattern
 from torusdom.errors import CertificateError, InvalidInputError
-from torusdom.torus import TorusDims, VertexId, VertexSet, make_torus
+from torusdom.torus import TorusDims, TorusGraph, VertexId, VertexSet, make_torus
 from torusdom.validate import (
     DominationKind,
     MatchingWitness,
@@ -13,7 +18,11 @@ from torusdom.validate import (
     is_paired_dominating,
     is_total_dominating,
     satisfies,
+    _induced_adj,
 )
+
+# every grid the kernel reference tests compare on
+SMALL_GRIDS = [(n, m) for n in range(3, 10) for m in range(3, 10)]
 
 
 def _vs(g, pairs):
@@ -77,6 +86,76 @@ def test_foreign_set_is_rejected():
         is_dominating(g, d)
     with pytest.raises(InvalidInputError):
         domination_multiplicity(g, d)
+
+
+def _probe_sets(g, seed):
+    """The empty and full sets, every single vertex, and 20 seeded random
+    sets of densities 1/2, 1/4 and 1/8."""
+    rng = random.Random(seed)
+    order = g.dims.order
+    masks = [0, g.full_mask] + [1 << s for s in range(order)]
+    for k in range(20):
+        mask = rng.getrandbits(order)
+        for _ in range(k % 3):
+            mask &= rng.getrandbits(order)
+        masks.append(mask)
+    return [VertexSet(g.dims, mask) for mask in masks]
+
+
+def test_validators_match_the_per_member_loops():
+    verdicts = set()
+    for n, m in SMALL_GRIDS:
+        g = make_torus(n, m)
+        for d in _probe_sets(g, f"{n}x{m}"):
+            covered = 0
+            for s in range(g.dims.order):
+                if d.mask >> s & 1:
+                    covered |= g.nbr_masks[s]
+            total = covered == g.full_mask
+            plain = covered | d.mask == g.full_mask
+            assert is_total_dominating(g, d) == total, (n, m, d.pairs())
+            assert is_dominating(g, d) == plain, (n, m, d.pairs())
+            assert domination_multiplicity(g, d) == [
+                (mask & d.mask).bit_count() for mask in g.nbr_masks
+            ], (n, m, d.pairs())
+            verdicts.add((plain, total))
+    assert verdicts == {(False, False), (True, False), (True, True)}
+
+
+def test_induced_adjacency_keeps_the_edge_append_order():
+    for n, m in SMALL_GRIDS:
+        g = make_torus(n, m)
+        for d in _probe_sets(g, f"{n}x{m}"):
+            members = [s for s in range(g.dims.order) if d.mask >> s & 1]
+            verts = [g.dims.vertex(s) for s in members]
+            index = {s: k for k, s in enumerate(members)}
+            adj = [[] for _ in verts]
+            for s, around in enumerate(g.nbr_slots):
+                for t in around:
+                    if s < t and d.mask >> s & 1 and d.mask >> t & 1:
+                        adj[index[s]].append(index[t])
+                        adj[index[t]].append(index[s])
+            assert _induced_adj(g, d) == (verts, adj), (n, m, d.pairs())
+
+
+def test_large_grid_validation_stays_linear_in_memory():
+    # construct's 201x201 total set is this pattern's; a table of one mask
+    # per vertex would take about 116 MB here
+    d = construct_bound_pattern(201, 201, DominationKind.TOTAL).vertex_set
+    tracemalloc.start()
+    try:
+        assert is_total_dominating(TorusGraph(TorusDims(201, 201)), d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_witness_and_certificate_check_build_no_per_vertex_masks():
+    make_torus.cache_clear()  # a graph some earlier test cached may hold the table
+    res = best_upper_witness(101, 101, DominationKind.TOTAL)
+    Certificate.from_vertex_set(res.vertex_set, DominationKind.TOTAL, res.provenance).check()
+    assert "nbr_masks" not in vars(make_torus(101, 101))
 
 
 def test_perfect_matching_witness_on_an_edge():
