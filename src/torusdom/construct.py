@@ -33,22 +33,8 @@ from .errors import (
 )
 from .formulas import gamma_p_m3, gamma_t_m3, gamma_tp_m4
 from .matching import maximum_matching
-from .torus import TorusDims, TorusGraph, VertexSet, make_torus
+from .torus import TorusDims, TorusGraph, VertexSet, make_torus, set_slots
 from .validate import DominationKind, _induced_adj, is_dominating, is_total_dominating, satisfies
-
-
-@dataclass(frozen=True)
-class CongruenceCase:
-    """Residue-class key under which a pattern applies."""
-
-    n_mod: int
-    m_mod: int
-    modulus: int
-    kind: DominationKind
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.n_mod < self.modulus and 0 <= self.m_mod < self.modulus):
-            raise InvalidInputError("residues must lie in [0..modulus-1]")
 
 
 @dataclass(frozen=True)
@@ -66,14 +52,12 @@ class ProjectionReport:
     """Bookkeeping from one row-projection step.
 
     A holds the rung indices occupied in the removed row, B those in
-    the row below it; odd_components counts odd pieces of the induced
-    subgraph before matching repair, and repair_vertices is what the
-    repair actually added.
+    the row below it, and repair_vertices is what the matching repair
+    added (empty for total projections).
     """
 
     A: frozenset[int]
     B: frozenset[int]
-    odd_components: int
     repair_vertices: VertexSet
 
 
@@ -102,16 +86,21 @@ def _finish(
     return ConstructionResult(vset, claimed, kind, provenance)
 
 
-def construct_mod4(n: int, m: int) -> ConstructionResult:
-    """Block tiling for doubly mod-4 grids; size nm/4, meets the degree bound."""
-    if n % 4 or m % 4:
-        raise CongruenceError(f"block tiling needs both sides = 0 (mod 4), got {n}x{m}")
-    dims = TorusDims(n, m)
+def _block_tiling(n: int, m: int) -> list[tuple[int, int]]:
     verts = []
     for i in range(1, n + 1, 4):
         for j in range(1, m + 1, 4):
             verts += [(i, j), (i, j + 1), (i + 2, j + 2), (i + 2, j + 3)]
-    return _finish(dims, verts, n * m // 4, DominationKind.PAIRED, "block-tiling")
+    return verts
+
+
+def construct_mod4(n: int, m: int) -> ConstructionResult:
+    """Block tiling for doubly mod-4 grids; size nm/4, meets the degree bound."""
+    if n % 4 or m % 4:
+        raise CongruenceError(f"block tiling needs both sides = 0 (mod 4), got {n}x{m}")
+    return _finish(
+        TorusDims(n, m), _block_tiling(n, m), n * m // 4, DominationKind.PAIRED, "block-tiling"
+    )
 
 
 def _m3_band(n: int) -> list[tuple[int, int]]:
@@ -290,17 +279,15 @@ _PATTERN_TABLE: dict[tuple[int, int], Callable] = {
     (2, 2): _wrap_braided,
 }
 
-BOUND_PATTERN_CASES: tuple[CongruenceCase, ...] = tuple(
-    CongruenceCase(n_mod=b, m_mod=a, modulus=4, kind=kind)
-    for (a, b) in sorted(_PATTERN_TABLE) + [(1, 2)]
-    for kind in (DominationKind.TOTAL, DominationKind.PAIRED)
-)
-
 
 def _projection_cascade(n: int, m: int, kind: DominationKind) -> ConstructionResult:
-    """Shrink the rounded-up block tiling one row at a time down to (n, m)."""
+    """Shrink the rounded-up block tiling one row at a time down to (n, m).
+
+    The tiling is checked once, in the kind being built: by the first
+    step's input check, or by `_finish` when there is no step.
+    """
     big_n, big_m = 4 * ((n + 3) // 4), 4 * ((m + 3) // 4)
-    d = construct_mod4(big_n, big_m).vertex_set
+    d = VertexSet.from_vertices(TorusDims(big_n, big_m), _block_tiling(big_n, big_m))
     for k in range(big_n, n, -1):
         d, _ = project_column(make_torus(k, big_m), d, kind)
     d = d.transposed()
@@ -391,65 +378,38 @@ def normalize_columns_m3(g: TorusGraph, d: VertexSet) -> VertexSet:
     return d
 
 
-def _components(adj: list[list[int]]) -> list[list[int]]:
-    seen = [False] * len(adj)
-    comps = []
-    for s in range(len(adj)):
-        if seen[s]:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        comps.append(comp)
-    return comps
-
-
 def _repair_matching(
     g: TorusGraph, d: VertexSet, budget: int
 ) -> tuple[VertexSet, VertexSet]:
     """Repair d until its induced subgraph has a perfect matching.
 
-    Every unmatched member either gains a partner (a new vertex next to
-    an exposed member, while budget lasts) or, once the budget is spent,
-    an exposed member whose coverage is redundant is dropped instead,
-    which both shrinks the deficiency and buys one addition back.  Each
-    step reduces the number of exposed members, so the loop terminates.
+    Every unmatched member either gains a partner (the least free slot
+    next to an exposed member, while budget lasts) or, once the budget
+    is spent, the first exposed member whose coverage is redundant is
+    dropped instead, which both shrinks the deficiency and buys one
+    addition back.  Each step reduces the number of exposed members, so
+    the loop terminates.
     """
-    added = VertexSet(g.dims)
+    mask, added = d.mask, 0
     while True:
-        verts, adj = _induced_adj(g, d)
-        mate = maximum_matching(adj)
-        exposed = [verts[k] for k in range(len(verts)) if mate[k] == -1]
+        slots, adj = _induced_adj(g, VertexSet(g.dims, mask))
+        exposed = [s for s, mate in zip(slots, maximum_matching(adj)) if mate == -1]
         if not exposed:
-            return d, added
+            return VertexSet(g.dims, mask), VertexSet(g.dims, added)
         if budget > 0:
-            candidates = sorted(
-                g.dims.slot(u)
-                for v in exposed
-                for u in g.neighbors(tuple(v))
-                if tuple(u) not in d
-            )
-            if candidates:
-                u = g.dims.vertex(candidates[0])
-                d = d.add(u.i, u.j)
-                added = added.add(u.i, u.j)
+            free = [t for s in exposed for t in g.nbr_slots[s] if not mask >> t & 1]
+            if free:
+                t = min(free)
+                mask |= 1 << t
+                added |= 1 << t
                 budget -= 1
                 continue
-        dropped = False
-        for v in sorted(exposed, key=g.dims.slot):
-            trial = d.remove(v.i, v.j)
-            if is_dominating(g, trial):
-                d = trial
+        for s in exposed:
+            if is_dominating(g, VertexSet(g.dims, mask ^ 1 << s)):
+                mask ^= 1 << s
                 budget += 1
-                dropped = True
                 break
-        if not dropped:
+        else:
             raise ConstructionInvalidError(
                 "matching repair stuck: no addable partner and no droppable member"
             )
@@ -477,30 +437,29 @@ def project_column(
 
     n = n1 - 1
     g = make_torus(n, m)
-    A = frozenset(j for j in range(1, m + 1) if (n1, j) in d)
-    B = frozenset(j for j in range(1, m + 1) if (n, j) in d)
-    if not A:
-        small = VertexSet.from_vertices(g.dims, d.pairs())
-        report = ProjectionReport(A, B, 0, VertexSet(g.dims))
+    # bit rows of the removed row (A) and the row below it (B)
+    low = d.mask & ((1 << n * m) - 1)
+    a, b = d.mask >> n * m, low >> (n - 1) * m
+    A = frozenset(j + 1 for j in set_slots(a))
+    B = frozenset(j + 1 for j in set_slots(b))
+    if not a:
+        small = VertexSet(g.dims, low)
+        report = ProjectionReport(A, B, VertexSet(g.dims))
         if not satisfies(g, small, kind):
             raise CertificateError(f"projection to {n}x{m} lost {kind.value} domination")
         return small, report
 
-    kept = [tuple(v) for v in d if v.i <= n]
-    moved = [(n - 1, j) for j in sorted(A & B)] + [(n, j) for j in sorted(A - B)]
-    small = VertexSet.from_vertices(g.dims, set(kept) | set(moved))
+    small = VertexSet(g.dims, low | (a & ~b) << (n - 1) * m | (a & b) << (n - 2) * m)
     if len(small) > len(d) or not is_total_dominating(g, small):
         raise CertificateError(f"projection to {n}x{m} grew or lost total domination")
 
     if kind is DominationKind.TOTAL:
-        return small, ProjectionReport(A, B, 0, VertexSet(g.dims))
+        return small, ProjectionReport(A, B, VertexSet(g.dims))
 
-    _, adj = _induced_adj(g, small)
-    odd = sum(1 for comp in _components(adj) if len(comp) % 2)
     repaired, added = _repair_matching(g, small, len(d) - len(small))
     if len(repaired) > len(d) or not satisfies(g, repaired, DominationKind.PAIRED):
         raise CertificateError(f"matching repair on {n}x{m} grew or lost paired domination")
-    return repaired, ProjectionReport(A, B, odd, added)
+    return repaired, ProjectionReport(A, B, added)
 
 
 def best_upper_witness(n: int, m: int, kind: DominationKind) -> ConstructionResult:

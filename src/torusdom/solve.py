@@ -46,7 +46,7 @@ from typing import Iterator, Optional
 from .construct import best_upper_witness
 from .errors import CertificateError, InstanceTooLargeError, InvalidInputError
 from .formulas import lower_bound_paired, lower_bound_regular
-from .torus import TorusDims, TorusGraph, VertexSet, make_torus
+from .torus import TorusDims, TorusGraph, VertexSet, make_torus, set_slots
 from .validate import DominationKind, has_perfect_matching, is_efficient_total, satisfies
 
 ORACLE_CAP = 24
@@ -579,7 +579,7 @@ def enumerate_total_dominating_sets(n: int, m: int, max_size: int) -> Iterator[V
     def rec(chosen: int, banned: int, covered: int, size: int) -> Iterator[int]:
         uncovered = full & ~covered
         if not uncovered:
-            free = sorted_slots(full & ~chosen & ~banned)
+            free = set_slots(full & ~chosen & ~banned)
             for extra in range(max_size - size + 1):
                 for combo in itertools.combinations(free, extra):
                     mask = chosen
@@ -591,17 +591,9 @@ def enumerate_total_dominating_sets(n: int, m: int, max_size: int) -> Iterator[V
             return
         v = (uncovered & -uncovered).bit_length() - 1
         bans = banned
-        for u in sorted_slots(g.nbr_masks[v] & ~banned):
+        for u in set_slots(g.nbr_masks[v] & ~banned):
             yield from rec(chosen | 1 << u, bans, covered | g.nbr_masks[u], size + 1)
             bans |= 1 << u
-
-    def sorted_slots(mask: int) -> list[int]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
 
     for mask in rec(0, 0, 0, 0):
         yield VertexSet(g.dims, mask)

@@ -31,7 +31,7 @@ from .errors import (
 MIN_SIDE = 3
 # the most vertices a grid may have: it bounds the projection cascade's
 # work, which builds 201x201 from 204x204 (a 201x201 total witness takes
-# about 4 s on one core of a 2-core Xeon)
+# about 0.5 s on one core of a 2-core Xeon)
 MAX_ORDER = 204 * 204
 
 
@@ -189,10 +189,11 @@ class TorusGraph:
     """Adjacency tables for one toroidal mesh.
 
     ``nbr_slots[s]`` lists the four neighbour slots of slot ``s`` in
-    ascending order.  ``nbr_masks[s]`` is the same set as a bitmask; it is
-    the one table built lazily, on first use, because it costs memory
-    quadratic in the order and only the exact engines on small grids read
-    it.  Instances are built once per dimension pair and cached, so they
+    ascending order; the graph offers neighbours only as slots, and
+    callers turn into coordinates only what they hand out.
+    ``nbr_masks[s]`` is the same set as a bitmask; it is the one table
+    built lazily, on first use, because it costs memory quadratic in the
+    order and only the exact engines on small grids read it.  Instances are built once per dimension pair and cached, so they
     must never be mutated.
     """
 
@@ -243,11 +244,6 @@ class TorusGraph:
                     out.append((s, t))
         return sorted(out)
 
-    def neighbors(self, v: tuple[int, int]) -> list[VertexId]:
-        """Neighbours of a vertex in slot order."""
-        s = self.dims.slot(VertexId(*v))
-        return [self.dims.vertex(t) for t in self.nbr_slots[s]]
-
 
 @functools.lru_cache(maxsize=None)
 def make_torus(n: int, m: int) -> TorusGraph:
@@ -259,20 +255,6 @@ def column(dims: TorusDims, i: int) -> VertexSet:
     if not (1 <= i <= dims.n):
         raise OutOfRangeError(f"row {i} outside 1..{dims.n}")
     return VertexSet.from_vertices(dims, ((i, j) for j in range(1, dims.m + 1)))
-
-
-def induced_edges(g: TorusGraph, d: VertexSet) -> list[tuple[VertexId, VertexId]]:
-    """Edges of the subgraph induced by ``d``, in slot order."""
-    if d.dims != g.dims:
-        raise InvalidInputError("set belongs to a different grid")
-    members = set_slots(d.mask)
-    inside = set(members)
-    return [
-        (g.dims.vertex(s), g.dims.vertex(t))
-        for s in members
-        for t in g.nbr_slots[s]
-        if s < t and t in inside
-    ]
 
 
 def excise_block(g: TorusGraph, block: BlockRange) -> tuple[TorusGraph, dict[int, int]]:

@@ -14,9 +14,10 @@ four shifts of its mask (`TorusGraph.neighbourhood`), with the full
 grid, and the members are listed once from the mask's bits.
 
 The subgraph a set induces is built for the blossom matcher in one
-place, `_induced_adj`: the perfect-matching check here (which the exact
-oracle also asks), and the matching repair and odd-component count of
-`construct.project_column`, all use it.
+place, `_induced_adj`, on member slots: the perfect-matching check here
+(which the exact oracle also asks) and the matching repair of
+`construct.project_column` both use it, and only the check turns the
+matched pairs into coordinates.
 """
 
 from __future__ import annotations
@@ -97,13 +98,13 @@ def is_total_dominating(g: TorusGraph, d: VertexSet) -> bool:
     return g.neighbourhood(d.mask) == g.full_mask
 
 
-def _induced_adj(g: TorusGraph, d: VertexSet) -> tuple[list[VertexId], list[list[int]]]:
-    """The members of d in slot order, and the adjacency lists of the
-    subgraph they induce, indexed by position in that order."""
+def _induced_adj(g: TorusGraph, d: VertexSet) -> tuple[list[int], list[list[int]]]:
+    """The member slots of d in ascending order, and the adjacency lists
+    of the subgraph they induce, indexed by position in that order."""
     slots = set_slots(d.mask)
     index = {s: k for k, s in enumerate(slots)}
     adj = [[index[t] for t in g.nbr_slots[s] if t in index] for s in slots]
-    return [g.dims.vertex(s) for s in slots], adj
+    return slots, adj
 
 
 def has_perfect_matching(g: TorusGraph, d: VertexSet) -> Optional[MatchingWitness]:
@@ -113,12 +114,13 @@ def has_perfect_matching(g: TorusGraph, d: VertexSet) -> Optional[MatchingWitnes
         return None
     if not d:
         return MatchingWitness(())
-    verts, adj = _induced_adj(g, d)
+    slots, adj = _induced_adj(g, d)
     mate = maximum_matching(adj)
     if -1 in mate:
         return None
+    vertex = g.dims.vertex
     pairs = tuple(
-        (verts[k], verts[mate[k]]) for k in range(len(verts)) if k < mate[k]
+        (vertex(slots[k]), vertex(slots[mate[k]])) for k in range(len(slots)) if k < mate[k]
     )
     witness = MatchingWitness(pairs)
     if not witness.check(g, d):

@@ -1,4 +1,6 @@
+import hashlib
 import importlib
+import json
 import os
 import random
 import subprocess
@@ -8,8 +10,6 @@ from pathlib import Path
 import pytest
 
 from torusdom.construct import (
-    BOUND_PATTERN_CASES,
-    CongruenceCase,
     best_upper_witness,
     construct_base_tile,
     construct_bound_pattern,
@@ -238,13 +238,6 @@ def test_bound_pattern_cascade_bound_sweep():
                 assert res.claimed_cardinality <= quota
 
 
-def test_congruence_case_residue_check():
-    with pytest.raises(InvalidInputError):
-        CongruenceCase(n_mod=4, m_mod=0, modulus=4, kind=TOTAL)
-    assert len(BOUND_PATTERN_CASES) == 10
-    assert all(case.modulus == 4 for case in BOUND_PATTERN_CASES)
-
-
 def test_normalize_collapses_full_rows():
     g = make_torus(5, 3)
     d = VertexSet.from_vertices(
@@ -279,7 +272,6 @@ def test_projection_moves_last_row_inward():
     ]
     assert rep.A == frozenset({3, 4})
     assert rep.B == frozenset()
-    assert rep.odd_components == 0
     assert not rep.repair_vertices
     assert satisfies(make_torus(6, 4), out, PAIRED)
 
@@ -370,6 +362,40 @@ def test_projection_preserves_kind_on_random_inputs():
                 assert len(out) <= len(d)
 
 
+def test_projection_moves_the_last_row_like_the_coordinate_rule(monkeypatch):
+    # the mask move step against the rule written on coordinates: members of
+    # the removed row go to the row below, or one further where it is taken;
+    # a paired projection's moved set is what reaches the matching repair
+    module = importlib.import_module("torusdom.construct")
+    real, repaired = module._repair_matching, []
+
+    def spy(g, d, budget):
+        repaired.append(d)
+        return real(g, d, budget)
+
+    monkeypatch.setattr(module, "_repair_matching", spy)
+    rng = random.Random(1965)
+    for n1 in range(6, 10):
+        for m in range(3, 8):
+            g = make_torus(n1, m)
+            n = n1 - 1
+            for kind in (TOTAL, PAIRED):
+                for _ in range(6):
+                    d = _random_valid_set(rng, g, kind)
+                    A = frozenset(v.j for v in d if v.i == n1)
+                    B = frozenset(v.j for v in d if v.i == n)
+                    moved = {tuple(v) for v in d if v.i <= n}
+                    moved |= {(n - 1, j) for j in A & B} | {(n, j) for j in A - B}
+                    expect = VertexSet.from_vertices(make_torus(n, m).dims, moved)
+                    repaired.clear()
+                    out, rep = project_column(g, d, kind)
+                    assert (rep.A, rep.B) == (A, B), (n1, m, d.pairs())
+                    if kind is PAIRED and A:
+                        assert repaired == [expect], (n1, m, d.pairs())
+                    else:
+                        assert (out, repaired) == (expect, []), (n1, m, kind, d.pairs())
+
+
 def test_projection_repair_stays_within_collapsed_budget():
     # On pattern inputs the repair never needs more vertices than the
     # removed row contained.
@@ -407,6 +433,18 @@ def test_best_upper_witness_always_validates():
                 res = best_upper_witness(n, m, kind)
                 assert satisfies(make_torus(n, m), res.vertex_set, kind)
                 assert len(res.vertex_set) == res.claimed_cardinality
+
+
+def test_best_upper_witness_matches_the_recorded_witnesses():
+    # [n, m, kind, provenance, size, sha256 of the hex mask] for every n, m in
+    # 3..20, recorded before the projection step moved to slot masks
+    path = Path(__file__).parent / "data" / "witnesses.json"
+    for n, m, kind, provenance, size, digest in json.loads(path.read_text()):
+        res = best_upper_witness(n, m, DominationKind(kind))
+        got = hashlib.sha256(format(res.vertex_set.mask, "x").encode()).hexdigest()
+        assert (res.provenance, res.claimed_cardinality, got) == (provenance, size, digest), (
+            n, m, kind,
+        )
 
 
 FAMILY_BUILDERS = (

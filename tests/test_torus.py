@@ -17,7 +17,6 @@ from torusdom.torus import (
     VertexSet,
     column,
     excise_block,
-    induced_edges,
     make_torus,
     map_set,
     set_slots,
@@ -202,12 +201,6 @@ def test_set_bits_and_slots_round_trip():
                 VertexSet.from_slots(dims, [0, bad])
 
 
-def test_graph_neighbors_explicit():
-    g = make_torus(4, 4)
-    nbrs = g.neighbors((1, 1))
-    assert set(nbrs) == {VertexId(1, 2), VertexId(1, 4), VertexId(2, 1), VertexId(4, 1)}
-
-
 def test_graph_edges_are_symmetric():
     g = make_torus(5, 3)
     for s, around in enumerate(g.nbr_slots):
@@ -226,22 +219,6 @@ def test_column_contents_and_range():
         column(dims, 6)
     with pytest.raises(OutOfRangeError):
         column(dims, 0)
-
-
-def test_induced_edges_small_case():
-    g = make_torus(3, 4)
-    d = VertexSet.from_vertices(g.dims, [(1, 1), (1, 2), (2, 1), (3, 3)])
-    assert induced_edges(g, d) == [
-        (VertexId(1, 1), VertexId(1, 2)),
-        (VertexId(1, 1), VertexId(2, 1)),
-    ]
-
-
-def test_induced_edges_rejects_foreign_set():
-    g = make_torus(3, 3)
-    d = VertexSet.from_vertices(TorusDims(3, 4), [(1, 1)])
-    with pytest.raises(InvalidInputError):
-        induced_edges(g, d)
 
 
 def test_excise_block_produces_smaller_torus():

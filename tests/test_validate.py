@@ -127,15 +127,21 @@ def test_induced_adjacency_keeps_the_edge_append_order():
         g = make_torus(n, m)
         for d in _probe_sets(g, f"{n}x{m}"):
             members = [s for s in range(g.dims.order) if d.mask >> s & 1]
-            verts = [g.dims.vertex(s) for s in members]
             index = {s: k for k, s in enumerate(members)}
-            adj = [[] for _ in verts]
+            adj = [[] for _ in members]
             for s, around in enumerate(g.nbr_slots):
                 for t in around:
                     if s < t and d.mask >> s & 1 and d.mask >> t & 1:
                         adj[index[s]].append(index[t])
                         adj[index[t]].append(index[s])
-            assert _induced_adj(g, d) == (verts, adj), (n, m, d.pairs())
+            assert _induced_adj(g, d) == (members, adj), (n, m, d.pairs())
+
+
+def test_induced_adj_small_case():
+    # (1,1)-(1,2) and (1,1)-(2,1) are the only edges; (3,3) is isolated
+    g = make_torus(3, 4)
+    d = VertexSet.from_vertices(g.dims, [(1, 1), (1, 2), (2, 1), (3, 3)])
+    assert _induced_adj(g, d) == ([0, 1, 4, 10], [[1, 2], [0], [0], []])
 
 
 def test_large_grid_validation_stays_linear_in_memory():
