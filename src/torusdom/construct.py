@@ -397,7 +397,7 @@ def _repair_matching(
         if not exposed:
             return VertexSet(g.dims, mask), VertexSet(g.dims, added)
         if budget > 0:
-            free = [t for s in exposed for t in g.nbr_slots[s] if not mask >> t & 1]
+            free = [t for s in exposed for t in g.around(s) if not mask >> t & 1]
             if free:
                 t = min(free)
                 mask |= 1 << t

@@ -505,7 +505,7 @@ def _paired_search(n: int, m: int, incumbent: VertexSet, t0: float) -> SolveResu
         by_vertex[b].append(e)
     # near[v]: every edge touching N[v], in edge order
     near = [
-        [entries[e] for e in sorted({e for s in (v, *g.nbr_slots[v]) for e in by_vertex[s]})]
+        [entries[e] for e in sorted({e for s in (v, *g.around(v)) for e in by_vertex[s]})]
         for v in range(order)
     ]
 

@@ -7,10 +7,12 @@ row-major slot ``(i - 1) * m + (j - 1)`` and sets of vertices are single
 Python integers used as bitmasks.  Everything here is immutable so values
 can be shared, hashed and cached freely.
 
-Building a graph and checking a set cost time and memory linear in the
-grid's order.  Neighbour slots come from slot arithmetic, and the
-neighbourhood of a whole set is four shifts of its mask
-(`TorusGraph.neighbourhood`), so the validators need no mask per vertex.
+A graph holds no table per slot, only three masks of the order's bits,
+so building one takes no time per vertex and caching it is cheap.  One
+slot's neighbours come from slot arithmetic (`TorusGraph.around`), and
+the neighbourhood of a whole set is four shifts of its mask
+(`TorusGraph.neighbourhood`), so checking a set costs time and memory
+linear in the grid's order and the validators need no mask per vertex.
 Sets go to and from slot lists through one bit string (`set_slots`,
 `VertexSet.from_slots`).
 """
@@ -137,22 +139,6 @@ class VertexSet:
         for s in set_slots(self.mask):
             yield VertexId(s // m + 1, s % m + 1)
 
-    def _same_grid(self, other: "VertexSet") -> None:
-        if self.dims != other.dims:
-            raise InvalidInputError("sets live on different grids")
-
-    def union(self, other: "VertexSet") -> "VertexSet":
-        self._same_grid(other)
-        return VertexSet(self.dims, self.mask | other.mask)
-
-    def intersection(self, other: "VertexSet") -> "VertexSet":
-        self._same_grid(other)
-        return VertexSet(self.dims, self.mask & other.mask)
-
-    def difference(self, other: "VertexSet") -> "VertexSet":
-        self._same_grid(other)
-        return VertexSet(self.dims, self.mask & ~other.mask)
-
     def add(self, i: int, j: int) -> "VertexSet":
         return VertexSet(self.dims, self.mask | 1 << self.dims.slot(VertexId(i, j)))
 
@@ -186,33 +172,48 @@ class BlockRange:
 
 
 class TorusGraph:
-    """Adjacency tables for one toroidal mesh.
+    """One toroidal mesh, held as its dims and three masks of the order's
+    bits: the full grid and its first and last columns.
 
-    ``nbr_slots[s]`` lists the four neighbour slots of slot ``s`` in
-    ascending order; the graph offers neighbours only as slots, and
-    callers turn into coordinates only what they hand out.
-    ``nbr_masks[s]`` is the same set as a bitmask; it is the one table
-    built lazily, on first use, because it costs memory quadratic in the
-    order and only the exact engines on small grids read it.  Instances are built once per dimension pair and cached, so they
-    must never be mutated.
+    It keeps no table per slot: `around` computes one slot's neighbours
+    by slot arithmetic, and `neighbourhood` a whole set's by four shifts
+    of its mask, so a cached graph costs O(nm) bits.
+    ``nbr_masks[s]``, the neighbours of slot ``s`` as a bitmask, is built
+    lazily on first use, because it costs memory quadratic in the order
+    and only the exact engines on small grids read it.  Instances are
+    built once per dimension pair and cached, so they must never be
+    mutated.
     """
 
     def __init__(self, dims: TorusDims):
         self.dims = dims
-        m, order = dims.m, dims.order
-        nbr_slots = []
-        for s in range(order):
-            c = s % m
-            around = ((s - m) % order, (s + m) % order, s - c + (c - 1) % m, s - c + (c + 1) % m)
-            nbr_slots.append(tuple(sorted(around)))
-        self.nbr_slots = tuple(nbr_slots)
-        self.full_mask = (1 << order) - 1
-        self._first_column = int(("0" * (m - 1) + "1") * dims.n, 2)  # column 1 of every row
-        self._last_column = self._first_column << (m - 1)
+        self.full_mask = (1 << dims.order) - 1
+        # bit rm of every row r: (2^nm - 1) / (2^m - 1) is the sum of 2^rm
+        self._first_column = self.full_mask // ((1 << dims.m) - 1)
+        self._last_column = self._first_column << (dims.m - 1)
+
+    def around(self, s: int) -> tuple[int, int, int, int]:
+        """The four neighbour slots of slot s, ascending."""
+        m, order = self.dims.m, self.dims.order
+        c = s % m
+        if c == 0:
+            a, b = s + 1, s + m - 1
+        elif c == m - 1:
+            a, b = s - m + 1, s - 1
+        else:
+            a, b = s - 1, s + 1
+        if s < m:
+            return a, b, s + m, s + order - m
+        if s >= order - m:
+            return s + m - order, s - m, a, b
+        return s - m, a, b, s + m
 
     @functools.cached_property
     def nbr_masks(self) -> tuple[int, ...]:
-        return tuple(1 << a | 1 << b | 1 << c | 1 << d for a, b, c, d in self.nbr_slots)
+        return tuple(
+            1 << a | 1 << b | 1 << c | 1 << d
+            for a, b, c, d in map(self.around, range(self.dims.order))
+        )
 
     def neighbourhood(self, mask: int) -> int:
         """The slots with a neighbour in the mask: the ring of slots rotated
@@ -237,14 +238,12 @@ class TorusGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted slot pairs, lexicographically ordered."""
-        out = []
-        for s, around in enumerate(self.nbr_slots):
-            for t in around:
-                if s < t:
-                    out.append((s, t))
-        return sorted(out)
+        return [(s, t) for s in range(self.dims.order) for t in self.around(s) if s < t]
 
 
+# Unbounded on purpose: a graph holds O(nm) bits and no per-slot table
+# (`nbr_masks` is built only on the small grids the exact engines take),
+# so even the cascade's every intermediate torus stays small.
 @functools.lru_cache(maxsize=None)
 def make_torus(n: int, m: int) -> TorusGraph:
     return TorusGraph(TorusDims(n, m))

@@ -11,7 +11,9 @@ set.
 Every check runs in time linear in the grid's order and builds no mask
 per vertex: plain and total domination compare the set's neighbourhood,
 four shifts of its mask (`TorusGraph.neighbourhood`), with the full
-grid, and the members are listed once from the mask's bits.
+grid, the members are listed once from the mask's bits, and a member's
+neighbour slots come from slot arithmetic (`TorusGraph.around`), not
+from a table kept with the graph.
 
 The subgraph a set induces is built for the blossom matcher in one
 place, `_induced_adj`, on member slots: the perfect-matching check here
@@ -49,7 +51,7 @@ class MatchingWitness:
         seen: set[int] = set()
         for a, b in self.pairs:
             sa, sb = g.dims.slot(a), g.dims.slot(b)
-            if sb not in g.nbr_slots[sa]:
+            if sb not in g.around(sa):
                 return False
             if sa in seen or sb in seen:
                 return False
@@ -85,7 +87,10 @@ def domination_multiplicity(g: TorusGraph, d: VertexSet) -> list[int]:
     inside = bytearray(g.dims.order)
     for s in set_slots(d.mask):
         inside[s] = 1
-    return [inside[a] + inside[b] + inside[c] + inside[e] for a, b, c, e in g.nbr_slots]
+    return [
+        inside[a] + inside[b] + inside[c] + inside[e]
+        for a, b, c, e in map(g.around, range(g.dims.order))
+    ]
 
 
 def is_dominating(g: TorusGraph, d: VertexSet) -> bool:
@@ -103,7 +108,8 @@ def _induced_adj(g: TorusGraph, d: VertexSet) -> tuple[list[int], list[list[int]
     of the subgraph they induce, indexed by position in that order."""
     slots = set_slots(d.mask)
     index = {s: k for k, s in enumerate(slots)}
-    adj = [[index[t] for t in g.nbr_slots[s] if t in index] for s in slots]
+    around = g.around
+    adj = [[index[t] for t in around(s) if t in index] for s in slots]
     return slots, adj
 
 
@@ -148,9 +154,9 @@ def is_efficient_total(g: TorusGraph, d: VertexSet) -> bool:
         raise CertificateError(f"efficient total set of odd size {len(d)}")
     if has_perfect_matching(g, d) is None:
         raise CertificateError("efficient total set without a perfect matching")
-    union = g.neighbourhood(d.mask)
-    total = sum(len(g.nbr_slots[s]) for s in set_slots(d.mask))
-    if union != g.full_mask or total != g.dims.order:
+    # the members' neighbourhoods, four distinct slots each, partition the
+    # grid iff they cover it and their sizes add up to its order
+    if g.neighbourhood(d.mask) != g.full_mask or 4 * len(d) != g.dims.order:
         raise CertificateError("efficient total set neighbourhoods do not partition the grid")
     return True
 

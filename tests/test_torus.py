@@ -1,8 +1,10 @@
 import importlib
 import random
+import tracemalloc
 
 import pytest
 
+from torusdom.construct import best_upper_witness
 from torusdom.errors import (
     InstanceTooLargeError,
     InvalidDimensionsError,
@@ -13,6 +15,7 @@ from torusdom.torus import (
     MIN_SIDE,
     BlockRange,
     TorusDims,
+    TorusGraph,
     VertexId,
     VertexSet,
     column,
@@ -21,8 +24,10 @@ from torusdom.torus import (
     map_set,
     set_slots,
 )
+from torusdom.validate import DominationKind, satisfies
 
-# every grid the kernel reference tests compare on
+# the grids the kernel reference tests compare on (the neighbour table
+# test also takes larger sides)
 SMALL_GRIDS = [(n, m) for n in range(3, 10) for m in range(3, 10)]
 
 
@@ -116,18 +121,6 @@ def test_vertex_set_from_vertices_checks_range():
         VertexSet.from_vertices(dims, [(1, 1), (5, 2)])
 
 
-def test_vertex_set_algebra():
-    dims = TorusDims(3, 3)
-    a = VertexSet.from_vertices(dims, [(1, 1), (2, 2)])
-    b = VertexSet.from_vertices(dims, [(2, 2), (3, 3)])
-    assert a.union(b).pairs() == [(1, 1), (2, 2), (3, 3)]
-    assert a.intersection(b).pairs() == [(2, 2)]
-    assert a.difference(b).pairs() == [(1, 1)]
-    other = VertexSet.from_vertices(TorusDims(3, 4), [(1, 1)])
-    with pytest.raises(InvalidInputError):
-        a.union(other)
-
-
 def test_vertex_set_add_remove():
     dims = TorusDims(3, 4)
     d = VertexSet(dims).add(2, 2)
@@ -162,16 +155,19 @@ def test_graph_is_four_regular():
         g = make_torus(n, m)
         assert len(g.edges()) == 2 * n * m
         for s in range(n * m):
-            assert len(g.nbr_slots[s]) == 4
-            assert len(set(g.nbr_slots[s])) == 4
+            assert len(g.around(s)) == 4
+            assert len(set(g.around(s))) == 4
 
 
 def test_neighbour_tables_match_the_coordinate_construction():
-    for n, m in SMALL_GRIDS:
-        g = make_torus(n, m)
-        reference = _reference_nbr_slots(g.dims)
-        assert g.nbr_slots == reference, (n, m)
-        assert g.nbr_masks == tuple(sum(1 << t for t in around) for around in reference), (n, m)
+    for n in range(3, 14):
+        for m in range(3, 14):
+            g = TorusGraph(TorusDims(n, m))
+            reference = _reference_nbr_slots(g.dims)
+            assert tuple(map(g.around, range(n * m))) == reference, (n, m)
+            assert g.nbr_masks == tuple(
+                sum(1 << t for t in around) for around in reference
+            ), (n, m)
 
 
 def test_neighbourhood_is_the_union_of_per_slot_masks():
@@ -203,13 +199,32 @@ def test_set_bits_and_slots_round_trip():
 
 def test_graph_edges_are_symmetric():
     g = make_torus(5, 3)
-    for s, around in enumerate(g.nbr_slots):
-        for t in around:
-            assert s in g.nbr_slots[t]
+    for s in range(g.dims.order):
+        for t in g.around(s):
+            assert s in g.around(t)
 
 
 def test_make_torus_is_cached():
     assert make_torus(6, 4) is make_torus(6, 4)
+
+
+def test_cached_tori_hold_no_per_slot_table():
+    tracemalloc.start()
+    try:
+        TorusGraph(TorusDims(204, 204))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
+    make_torus.cache_clear()  # a graph some earlier test cached may hold nbr_masks
+    res = best_upper_witness(23, 21, DominationKind.PAIRED)
+    g = make_torus(23, 21)
+    assert satisfies(g, res.vertex_set, DominationKind.PAIRED)
+    held = vars(g)
+    assert "nbr_masks" not in held
+    assert not [
+        k for k, v in held.items() if isinstance(v, (list, tuple)) and len(v) == g.dims.order
+    ]
 
 
 def test_column_contents_and_range():

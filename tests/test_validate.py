@@ -129,8 +129,8 @@ def test_induced_adjacency_keeps_the_edge_append_order():
             members = [s for s in range(g.dims.order) if d.mask >> s & 1]
             index = {s: k for k, s in enumerate(members)}
             adj = [[] for _ in members]
-            for s, around in enumerate(g.nbr_slots):
-                for t in around:
+            for s in range(g.dims.order):
+                for t in g.around(s):
                     if s < t and d.mask >> s & 1 and d.mask >> t & 1:
                         adj[index[s]].append(index[t])
                         adj[index[t]].append(index[s])
