@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from .certificates import Certificate, ResultCache, load_certificate
-from .construct import best_upper_witness
+from .construct import ConstructionResult, best_upper_witness
 from .errors import (
     CertificateError,
     CongruenceError,
@@ -221,11 +221,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
         print(f"  {'ok  ' if ok else 'FAIL'} {name}: {detail}")
 
     print(f"audit {n}x{m}")
-    witnesses: dict[DominationKind, int] = {}
+    # each catalog witness is built once here and bounds the solves below
+    witnesses: dict[DominationKind, ConstructionResult] = {}
     for kind in (DominationKind.TOTAL, DominationKind.PAIRED):
         try:
-            result = best_upper_witness(n, m, kind)
-            witnesses[kind] = result.claimed_cardinality
+            result = witnesses[kind] = best_upper_witness(n, m, kind)
             record(
                 f"construction:{kind.value}",
                 True,
@@ -237,8 +237,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
     values: dict[DominationKind, int] = {}
     cache = ResultCache(args.cache_dir)
     for kind in (DominationKind.PLAIN, DominationKind.TOTAL, DominationKind.PAIRED):
+        catalog = witnesses.get(DominationKind.TOTAL if kind is DominationKind.PLAIN else kind)
         try:
-            res = solve_within_reach(n, m, kind)
+            res = solve_within_reach(n, m, kind, catalog.vertex_set if catalog else None)
         except (InstanceTooLargeError, ConstructionInvalidError) as exc:
             record(f"solve:{kind.value}", True, f"skipped ({exc})")
             continue
@@ -249,9 +250,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
         if report.exact is not None and report.exact != value:
             ok = False
             detail += f", formula says {report.exact}"
-        if kind in witnesses and value > witnesses[kind]:
+        if kind in witnesses and value > witnesses[kind].claimed_cardinality:
             ok = False
-            detail += f", exceeds witness {witnesses[kind]}"
+            detail += f", exceeds witness {witnesses[kind].claimed_cardinality}"
         if kind is DominationKind.PAIRED and value % 2:
             ok = False
             detail += ", odd paired value"

@@ -19,9 +19,11 @@ Four engines, each certifying optimality a different way:
   grids too wide for the DP, with iterative deepening from the
   parity-rounded degree bound so exhaustion below the answer is the
   optimality proof.  Each node walks candidate edges precomputed per
-  vertex and tests the coverage bound before it recurses; the root bans
-  every image of a failed edge under the automorphisms fixing slot 0,
-  which leaves its certificates unchanged;
+  vertex and tests the coverage bound before it recurses, and fails when
+  its undominated vertices hold a packing of more vertices, pairwise at
+  distance 4 or more, than pairs left; the root bans every image of a
+  failed edge under the automorphisms fixing slot 0.  Neither prune
+  moves its certificates;
 * a sandwich shortcut when a validated pattern meets the degree bound,
   which certifies without any search.
 
@@ -444,11 +446,14 @@ def _dp(
     return found
 
 
-def solve_profile_dp(n: int, m: int, kind: DominationKind) -> SolveResult:
-    """Exact plain or total minimum via the row-sweep DP (`_row_sweep`)."""
+def solve_profile_dp(
+    n: int, m: int, kind: DominationKind, witness: Optional[VertexSet] = None
+) -> SolveResult:
+    """Exact plain or total minimum via the row-sweep DP (`_row_sweep`),
+    bounded by the total catalog witness (built unless given)."""
     if kind not in (DominationKind.PLAIN, DominationKind.TOTAL):
         raise InvalidInputError(f"profile DP handles plain or total, got {kind.value}")
-    return _dp(n, m, kind, time.perf_counter())
+    return _dp(n, m, kind, time.perf_counter(), witness)
 
 
 def solve_paired_dp(n: int, m: int) -> SolveResult:
@@ -467,26 +472,13 @@ def _root_maps(n: int, m: int) -> list[list[int]]:
     return maps
 
 
-def _paired_search(n: int, m: int, incumbent: VertexSet, t0: float) -> SolveResult:
-    """Branch-and-bound over disjoint adjacent pairs, deepening from the
-    parity-rounded degree bound; exhausting a level proves absence.
+def _pair_tables(n: int, m: int) -> tuple[list[list[tuple[int, int, int, int]]], list[int]]:
+    """The pair search's tables, built once per instance.
 
-    Each node branches, in edge order, on the unused edges that touch the
-    closed neighbourhood of the lowest vertex not yet dominated (near[v],
-    built once), and bans each edge whose branch fails for its later
-    siblings.  A child whose undominated vertices exceed 8 per pair left
-    fails without a call and is banned the same way.  Every smaller level
-    failed, so no fewer pairs dominate, and a level's solutions are exactly
-    the sets of k disjoint edges that dominate the torus.
-
-    At the root nothing is chosen and v is slot 0.  When the branch on an
-    edge e fails there, every image of e under the automorphisms fixing
-    slot 0 (`_root_maps`) is banned too.  This cannot move the certificate:
-    a failed root branch proves that no solution contains e, since the
-    edges already banned lie in no solution (by induction); so no solution
-    contains an image of e either; and banning edges that lie in no
-    solution removes only subtrees without one, so the depth-first search
-    meets the same first solution.
+    near[v]: every edge touching N[v], in edge order, each as (its bit, its
+    endpoints, the vertices it dominates, the bits of its images under the
+    root maps).  reach[v]: every vertex that some edge in near[v] dominates,
+    which is the ball of radius 3 about v.
     """
     g = make_torus(n, m)
     order = g.dims.order
@@ -494,8 +486,6 @@ def _paired_search(n: int, m: int, incumbent: VertexSet, t0: float) -> SolveResu
     index = {edge: e for e, edge in enumerate(edges)}
     maps = _root_maps(n, m)
     closed = [g.nbr_masks[s] | (1 << s) for s in range(order)]
-    # per edge: its bit, its endpoints, the vertices it dominates, and the
-    # bits of its images under the root maps
     entries = []
     by_vertex: list[list[int]] = [[] for _ in range(order)]
     for e, (a, b) in enumerate(edges):
@@ -503,17 +493,66 @@ def _paired_search(n: int, m: int, incumbent: VertexSet, t0: float) -> SolveResu
         entries.append((1 << e, (1 << a) | (1 << b), closed[a] | closed[b], images))
         by_vertex[a].append(e)
         by_vertex[b].append(e)
-    # near[v]: every edge touching N[v], in edge order
     near = [
         [entries[e] for e in sorted({e for s in (v, *g.around(v)) for e in by_vertex[s]})]
         for v in range(order)
     ]
+    reach = [functools.reduce(int.__or__, (entry[2] for entry in row)) for row in near]
+    return near, reach
+
+
+def _packing_exceeds(uncovered: int, reach: list[int], left: int) -> bool:
+    """True when more than `left` vertices of `uncovered` lie pairwise
+    outside each other's reach, picked greedily from the lowest slot up;
+    then no `left` pairs dominate `uncovered` (`_paired_search`)."""
+    while uncovered:
+        if not left:
+            return True
+        left -= 1
+        uncovered &= ~reach[(uncovered & -uncovered).bit_length() - 1]
+    return False
+
+
+def _paired_search(n: int, m: int, incumbent: VertexSet, t0: float) -> SolveResult:
+    """Branch-and-bound over disjoint adjacent pairs, deepening from the
+    parity-rounded degree bound; exhausting a level proves absence.
+
+    Each node branches, in edge order, on the unused edges that touch the
+    closed neighbourhood of the lowest vertex not yet dominated (near[v],
+    `_pair_tables`), and bans each edge whose branch fails for its later
+    siblings.  A child whose undominated vertices exceed 8 per pair left
+    fails without a call and is banned the same way.  Every smaller level
+    failed, so no fewer pairs dominate, and a level's solutions are exactly
+    the sets of k disjoint edges that dominate the torus.
+
+    A node fails on entry when its undominated vertices hold a packing of
+    more picks than pairs left (`_packing_exceeds`): take the lowest
+    undominated v, strike reach[v], and repeat.  This cuts no solution.  A
+    pair that dominates v touches N[v], so it is in near[v] and dominates
+    only vertices in reach[v].  Each pick lies outside the reach of every
+    earlier pick, so no one pair dominates two picks, and the picks need
+    distinct pairs.  Picks lie at distance 4 or more from each other, and
+    a pair dominates only vertices within distance 3 of each other.
+
+    At the root nothing is chosen and v is slot 0.  When the branch on an
+    edge e fails there, every image of e under the automorphisms fixing
+    slot 0 (`_root_maps`) is banned too.  Neither the packing cut nor the
+    root bans can move the certificate: a failed root branch proves that
+    no solution contains e, since the edges already banned lie in no
+    solution (by induction); so no solution contains an image of e either;
+    and cutting subtrees that hold no solution leaves the depth-first
+    search meeting the same first solution.
+    """
+    g = make_torus(n, m)
+    near, reach = _pair_tables(n, m)
 
     def rec(uncovered: int, used: int, left: int, banned: int, root: bool) -> Optional[int]:
         """The first set of `left` more pairs, avoiding `used` and the
         `banned` edge bits, that dominates `uncovered`, joined to `used`."""
         if not uncovered:
             return used if left == 0 else None
+        if _packing_exceeds(uncovered, reach, left):
+            return None
         left -= 1
         room = 8 * left
         for bit, pair, cover, images in near[(uncovered & -uncovered).bit_length() - 1]:
@@ -599,12 +638,15 @@ def enumerate_total_dominating_sets(n: int, m: int, max_size: int) -> Iterator[V
         yield VertexSet(g.dims, mask)
 
 
-def _auto(n: int, m: int, kind: DominationKind, reach: bool) -> SolveResult:
+def _auto(
+    n: int, m: int, kind: DominationKind, reach: bool, witness: Optional[VertexSet] = None
+) -> SolveResult:
     """The one auto order.  Plain and total sets: the oracle up to
     ORACLE_AUTO_CAP vertices, then the sandwich certificate (total only),
     then the DP.  Paired sets: the sandwich, then the oracle, then the
-    pair search.  The catalog witness is built at most once and bounds
-    whichever engine runs.
+    pair search.  The catalog witness (the total one for plain sets) is
+    built at most once, unless the caller gives it, and bounds whichever
+    engine runs.
 
     With `reach`, the DP runs only up to width REACH_DP_WIDTH and the pair
     search only up to REACH_PAIRED_ORDER vertices, the limits `table` and
@@ -628,8 +670,9 @@ def _auto(n: int, m: int, kind: DominationKind, reach: bool) -> SolveResult:
     if kind is DominationKind.PLAIN:
         if beyond:
             raise InstanceTooLargeError(limit)
-        return solve_profile_dp(n, m, kind)
-    witness = _witness_upper(n, m, kind)
+        return solve_profile_dp(n, m, kind, witness)
+    if witness is None:
+        witness = _witness_upper(n, m, kind)
     # the sandwich: a witness at the degree bound (even when paired) is optimal
     lo = lower_bound_paired(n, m) if paired else lower_bound_regular(n, m)
     if len(witness) == lo:
@@ -662,10 +705,13 @@ def solve(
     return _auto(n, m, kind, reach=False)
 
 
-def solve_within_reach(n: int, m: int, kind: DominationKind) -> SolveResult:
+def solve_within_reach(
+    n: int, m: int, kind: DominationKind, witness: Optional[VertexSet] = None
+) -> SolveResult:
     """`solve(n, m, kind)` within the limits that `table` and `audit` keep
-    (`_auto` with its reach checked)."""
-    return _auto(n, m, kind, reach=True)
+    (`_auto` with its reach checked), bounded by `witness` when given: the
+    catalog witness of (n, m), total for plain and total sets."""
+    return _auto(n, m, kind, reach=True, witness=witness)
 
 
 def canonical(res: SolveResult) -> SolveResult:

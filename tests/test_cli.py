@@ -471,17 +471,27 @@ def test_table_builds_each_witness_at_most_once(table_cells):
 def test_audit_solves_each_kind_once_and_caches_that_result(monkeypatch, tmp_path, capsys):
     module = importlib.import_module("torusdom.solve")
     real = module._row_sweep
+    real_build = module.best_upper_witness
     swept = []
+    built = []
 
     def counting(n, m, kind, *rest):
         swept.append(kind)
         return real(n, m, kind, *rest)
 
+    def counting_build(n, m, kind):
+        built.append(kind)
+        return real_build(n, m, kind)
+
     monkeypatch.setattr(module, "_row_sweep", counting)
+    for name in ("torusdom.solve", "torusdom.cli"):
+        monkeypatch.setattr(importlib.import_module(name), "best_upper_witness", counting_build)
     assert main(["audit", "--n", "9", "--m", "5", "--cache-dir", str(tmp_path)]) == 0
     assert "audit passed" in capsys.readouterr().out
     # 45 vertices is beyond the pair search's limit, and no witness meets the bound
     assert swept == [PLAIN, TOTAL]
+    # audit builds each catalog witness once, and plain borrows the total one
+    assert built == [TOTAL, PAIRED]
     cache = ResultCache(tmp_path)
     for kind in (PLAIN, TOTAL):
         res = solve(9, 5, kind, "auto")

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -280,6 +281,53 @@ def test_paired_search_agrees_with_paired_dp():
             absent.append((n, m))
     # the search must have proved absence at the degree bound somewhere
     assert {(5, 8), (8, 6)} <= set(absent)
+
+
+def _fewest_pairs(g, uncovered):
+    """The fewest disjoint edges of g that dominate every vertex of
+    `uncovered`, by iterative deepening over the edges that dominate its
+    lowest vertex."""
+    closed = [g.nbr_masks[s] | 1 << s for s in range(g.dims.order)]
+    edges = [(1 << a | 1 << b, closed[a] | closed[b]) for a, b in g.edges()]
+
+    def fits(rest, used, k):
+        if not rest:
+            return True
+        if not k:
+            return False
+        low = rest & -rest
+        return any(
+            fits(rest & ~cover, used | pair, k - 1)
+            for pair, cover in edges
+            if cover & low and not pair & used
+        )
+
+    return next(k for k in itertools.count() if fits(uncovered, 0, k))
+
+
+@pytest.mark.parametrize("n,m", list(itertools.product(range(3, 6), repeat=2)))
+def test_pair_packing_bound_is_admissible(n, m):
+    solve_module = importlib.import_module("torusdom.solve")
+    g = make_torus(n, m)
+    order = g.dims.order
+    _, reach = solve_module._pair_tables(n, m)
+    for v in range(order):
+        ball, ring = 1 << v, 1 << v
+        for _ in range(3):
+            ring = g.neighbourhood(ring) & ~ball
+            ball |= ring
+        assert reach[v] == ball, (n, m, v)
+    rng = random.Random(f"{n}x{m}")
+    tight = 0
+    for k in range(40):
+        uncovered = g.full_mask if k == 0 else rng.getrandbits(order)
+        for _ in range(k % 3):
+            uncovered &= rng.getrandbits(order)
+        fewest = _fewest_pairs(g, uncovered)
+        # the packing never asks for more pairs than the fewest that dominate
+        assert not solve_module._packing_exceeds(uncovered, reach, fewest), (n, m, hex(uncovered))
+        tight += fewest > 0 and solve_module._packing_exceeds(uncovered, reach, fewest - 1)
+    assert tight
 
 
 @pytest.mark.parametrize("n,m", [(5, 5), (7, 7), (8, 6), (9, 10)])

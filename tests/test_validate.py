@@ -122,6 +122,16 @@ def test_validators_match_the_per_member_loops():
     assert verdicts == {(False, False), (True, False), (True, True)}
 
 
+@pytest.mark.parametrize("n,m", [(3, 3), (3, 8), (9, 3), (4, 7), (5, 12), (13, 6), (61, 61)])
+def test_multiplicity_counts_the_members_around_each_slot(n, m):
+    g = make_torus(n, m)
+    for d in _probe_sets(g, f"{n}x{m} around")[-20:] + [VertexSet(g.dims, g.full_mask)]:
+        inside = [d.mask >> s & 1 for s in range(g.dims.order)]
+        assert domination_multiplicity(g, d) == [
+            sum(inside[t] for t in g.around(s)) for s in range(g.dims.order)
+        ], (n, m, d.pairs())
+
+
 def test_induced_adjacency_keeps_the_edge_append_order():
     for n, m in SMALL_GRIDS:
         g = make_torus(n, m)
