@@ -2,13 +2,14 @@
 
 Implements the blossom-contraction augmenting-path algorithm on an
 adjacency-list graph over vertices ``0..len(adj)-1``, where V is the
-number of members of the set whose induced subgraph is matched.  That
-is small inside the exact engines, but about 1000 in the projection
-cascade's matching repair and when `verify` checks a 61x61 paired
-certificate.  Each root's search resets O(V) state (``parent`` and
-``base`` for every vertex, and the O(V) lists of `lca` and of each
-blossom), so a whole matching costs at least O(V^2) even when the
-induced subgraph is many small components; O(V^3) in the worst case.
+number of vertices it is given.  The paired check in `validate` passes
+one connected component at a time, so V stays small there; the
+projection cascade's matching repair passes a whole set, about 1000
+members on a 61x61 grid.  Each root's search resets O(V) state
+(``parent`` and ``base`` for every vertex, and the O(V) lists of `lca`
+and of each blossom), so a whole matching costs at least O(V^2) even
+when the induced subgraph is many small components; O(V^3) in the worst
+case.
 """
 
 from __future__ import annotations

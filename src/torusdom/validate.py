@@ -19,7 +19,9 @@ The subgraph a set induces is built for the blossom matcher in one
 place, `_induced_adj`, on member slots: the perfect-matching check here
 (which the exact oracle also asks) and the matching repair of
 `construct.project_column` both use it, and only the check turns the
-matched pairs into coordinates.
+matched pairs into coordinates.  The check walks the subgraph's
+components: it stops at the first of odd order, matches an isolated edge
+directly, and runs the matcher on each other component alone.
 """
 
 from __future__ import annotations
@@ -122,16 +124,43 @@ def _induced_adj(g: TorusGraph, d: VertexSet) -> tuple[list[int], list[list[int]
 
 
 def has_perfect_matching(g: TorusGraph, d: VertexSet) -> Optional[MatchingWitness]:
-    """A perfect matching of the subgraph induced by d, or None."""
+    """A perfect matching of the subgraph induced by d, or None.
+
+    Decided one connected component at a time, in order of lowest member.
+    A component of odd order ends the check, and an isolated edge is
+    matched directly; any other runs the blossom matcher on its members
+    in ascending order.  A search never leaves its root's component, so
+    the pairs are those of one matcher run over the whole subgraph.
+    """
     _check_pair(g, d)
     if len(d) % 2:
         return None
-    if not d:
-        return MatchingWitness(())
     slots, adj = _induced_adj(g, d)
-    mate = maximum_matching(adj)
-    if -1 in mate:
-        return None
+    mate = [-1] * len(slots)
+    seen = bytearray(len(slots))
+    for root in range(len(slots)):
+        if seen[root]:
+            continue
+        seen[root] = 1
+        comp = [root]
+        for v in comp:
+            for t in adj[v]:
+                if not seen[t]:
+                    seen[t] = 1
+                    comp.append(t)
+        if len(comp) % 2:
+            return None
+        if len(comp) == 2:
+            a, b = comp
+            mate[a], mate[b] = b, a
+            continue
+        comp.sort()
+        local = {v: k for k, v in enumerate(comp)}
+        sub = maximum_matching([[local[t] for t in adj[v]] for v in comp])
+        if -1 in sub:
+            return None
+        for v, k in zip(comp, sub):
+            mate[v] = comp[k]
     vertex = g.dims.vertex
     pairs = tuple(
         (vertex(slots[k]), vertex(slots[mate[k]])) for k in range(len(slots)) if k < mate[k]

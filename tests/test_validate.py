@@ -1,12 +1,17 @@
+import hashlib
+import importlib
+import json
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from torusdom.certificates import Certificate
 from torusdom.construct import best_upper_witness, construct_bound_pattern
 from torusdom.errors import CertificateError, InvalidInputError
-from torusdom.torus import TorusDims, TorusGraph, VertexId, VertexSet, make_torus
+from torusdom.matching import maximum_matching
+from torusdom.torus import TorusDims, TorusGraph, VertexId, VertexSet, make_torus, set_slots
 from torusdom.validate import (
     DominationKind,
     MatchingWitness,
@@ -217,6 +222,82 @@ def test_failed_matching_witness_raises(monkeypatch):
     g = make_torus(4, 4)
     with pytest.raises(CertificateError):
         has_perfect_matching(g, _vs(g, [(1, 1), (1, 2)]))
+
+
+def _whole_subgraph_pairs(g, d):
+    """The pairs of one matcher run over the whole induced subgraph, or None."""
+    slots, adj = _induced_adj(g, d)
+    mate = maximum_matching(adj)
+    if -1 in mate:
+        return None
+    return tuple(
+        (g.dims.vertex(slots[k]), g.dims.vertex(slots[mate[k]]))
+        for k in range(len(slots)) if k < mate[k]
+    )
+
+
+def test_component_matching_pairs_equal_one_whole_subgraph_run():
+    path = Path(__file__).parent / "data" / "witnesses.json"
+    rng = random.Random("component matching")
+    outcomes = set()
+    for n, m, kind, _, size, digest in json.loads(path.read_text()):
+        if size % 2:
+            continue
+        d = best_upper_witness(n, m, DominationKind(kind)).vertex_set
+        assert hashlib.sha256(format(d.mask, "x").encode()).hexdigest() == digest, (n, m, kind)
+        g = make_torus(n, m)
+        members = set_slots(d.mask)
+        probes = [d] + [
+            VertexSet(g.dims, d.mask & ~sum(1 << s for s in rng.sample(members, 2)))
+            for _ in range(3)
+        ]
+        for probe in probes:
+            w = has_perfect_matching(g, probe)
+            expected = _whole_subgraph_pairs(g, probe)
+            assert (None if w is None else w.pairs) == expected, (n, m, kind, probe.pairs())
+            outcomes.add(w is None)
+    assert outcomes == {True, False}
+
+
+def _counting_matcher(monkeypatch):
+    module = importlib.import_module("torusdom.validate")
+    calls = []
+
+    def counting(adj):
+        calls.append(len(adj))
+        return maximum_matching(adj)
+
+    monkeypatch.setattr(module, "maximum_matching", counting)
+    return calls
+
+
+def test_odd_component_ends_the_check_before_any_matcher_call(monkeypatch):
+    calls = _counting_matcher(monkeypatch)
+    g = make_torus(8, 8)
+    # a path of three, then a four-cycle that would need the matcher, then
+    # an isolated vertex: even in all, but the lowest component is odd
+    d = _vs(g, [(1, 1), (1, 2), (1, 3), (3, 1), (3, 2), (4, 1), (4, 2), (6, 6)])
+    assert has_perfect_matching(g, d) is None
+    assert calls == []
+
+
+def test_isolated_edges_match_without_the_matcher(monkeypatch):
+    calls = _counting_matcher(monkeypatch)
+    g = make_torus(8, 8)
+    d = _vs(g, [(1, 1), (1, 2), (3, 4), (4, 4), (6, 8), (6, 1)])
+    w = has_perfect_matching(g, d)
+    assert w is not None and w.check(g, d)
+    assert w.pairs == _whole_subgraph_pairs(g, d)
+    assert calls == []
+
+
+def test_even_component_without_perfect_matching(monkeypatch):
+    calls = _counting_matcher(monkeypatch)
+    g = make_torus(6, 6)
+    # K_{1,3}: a centre with three of its neighbours
+    d = _vs(g, [(1, 2), (2, 1), (2, 2), (2, 3)])
+    assert has_perfect_matching(g, d) is None
+    assert calls == [4]
 
 
 def test_efficient_total_on_the_four_by_four_tile():
