@@ -8,8 +8,10 @@ Four engines, each certifying optimality a different way:
   sets, carrying per-row membership, outstanding-domination and
   unmatched-member masks (the last always empty unless paired), with
   wraparound closed by boundary seeds.  Its states are numbered once
-  per width and kind, and one move table holds every transition, for
-  the sweep and its bound alike.  Three prunes leave its values
+  per width and kind; one move table holds each state's next states as
+  a mask per member count, for the sweep and its bound alike, and a
+  layer is a mask per cost, so one OR moves a group of states.  Three
+  prunes leave its values
   and certificates unchanged: one seed per orbit of the width ring's
   rotations and reflections, costs bounded by the best set found so
   far, and a backward lower bound on the cost of the rows still to
@@ -41,6 +43,7 @@ import bisect
 import enum
 import functools
 import itertools
+import re
 import time
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
@@ -247,8 +250,8 @@ def _row_moves(width: int, kind: DominationKind) -> tuple[tuple, tuple]:
     states: every (membership c, pending u, unmatched w) with u a submask
     of need[c] and w a submask of c (0 unless paired), in ascending tuple
     order, which holds every state a transition can reach.  moves[i]: the
-    (members of the next row, number of the next state) pairs of state i,
-    fewest members first, then in the order of supersets and leftovers.
+    (members of the next row, mask of the numbers of the next states with
+    that many members) pairs of state i, fewest members first.
     """
     need, pop, supersets, leftovers = _row_tables(width, kind)
     paired = kind is DominationKind.PAIRED
@@ -258,42 +261,54 @@ def _row_moves(width: int, kind: DominationKind) -> tuple[tuple, tuple]:
         for u in _subsets(need[c])
         for w in (_subsets(c) if paired else (0,))
     )
-    number = {state: i for i, state in enumerate(states)}
-    moves = tuple(
-        tuple(
-            (pop[c2], number[(c2, need[c2] & ~c, w2)])
-            for c2 in supersets[u | w]
-            for w2 in leftovers[c2 & ~w]
-        )
-        for c, u, w in states
-    )
-    return states, moves
+    # state (c, u, w) is numbered first[(c, u)] plus the rank of w among the
+    # submasks of c, so spots[c][x] marks the states of leftovers[x] by rank
+    first: dict[tuple[int, int], int] = {}
+    for i, (c, u, _) in enumerate(states):
+        first.setdefault((c, u), i)
+    ranks = [{w: r for r, w in enumerate(_subsets(c))} for c in range(len(need))]
+    spots = [{x: sum(1 << rank[w] for w in leftovers[x]) for x in rank} for rank in ranks]
+    moves = []
+    for c, u, w in states:
+        groups: dict[int, int] = {}
+        for c2 in supersets[u | w]:
+            bits = spots[c2][c2 & ~w] << first[(c2, need[c2] & ~c)]
+            groups[pop[c2]] = groups.get(pop[c2], 0) | bits
+        moves.append(tuple(groups.items()))
+    return states, tuple(moves)
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, lowest first."""
+    return [hit.start() for hit in re.finditer("1", bin(mask)[:1:-1])]
 
 
 def _row_bounds(width: int, kind: DominationKind, rows: int) -> list[list[int]]:
-    """lb[k][i]: the least cost of k more rows after row-sweep state number
-    i (`_row_moves`), with the wraparound closure ignored, for k = 0..rows.
+    """within[k][r]: the mask of the row-sweep state numbers (`_row_moves`)
+    whose least cost of k more rows, with the wraparound closure ignored,
+    is at most r; for k = 0..rows and r = 0..width*k, since k full rows
+    always extend.
 
     One backward min-plus pass over the kernel's own move table.
     """
     moves = _row_moves(width, kind)[1]
-    lb = [[0] * len(moves)]
-    for _ in range(rows):
-        prev = lb[-1]
-        floor = min(prev)
-        cap = width * len(lb)  # k full rows always extend
-        layer = []
-        for row in moves:
-            least = cap
-            for step, j in row:
+    within = [[(1 << len(moves)) - 1]]
+    for k in range(1, rows + 1):
+        prev = within[-1]
+        floor = next(r for r, mask in enumerate(prev) if mask)
+        levels = [0] * (width * k + 1)
+        for i, row in enumerate(moves):
+            least = width * k
+            for step, mask in row:
                 if step + floor >= least:
                     break
-                cand = step + prev[j]
-                if cand < least:
-                    least = cand
-            layer.append(least)
-        lb.append(layer)
-    return lb
+                r = floor
+                while step + r < least and not mask & prev[r]:
+                    r += 1
+                least = min(least, step + r)
+            levels[least] |= 1 << i
+        within.append(list(itertools.accumulate(levels, int.__or__)))
+    return within
 
 
 def _check_dp_width(n: int, m: int, kind: DominationKind) -> None:
@@ -325,14 +340,14 @@ def _row_sweep(
 
     States are numbered once per width and kind in ascending tuple order,
     and every transition is read from one move table (`_row_moves`), which
-    the backward bound walks too.  A layer maps a state's number to its
-    cost and its predecessor's number.  Since numbers follow tuple order,
-    walking a layer by number walks it in sorted state order, and ties
-    keep the first state in that order.  The last layer holds only states
-    that close with the seed (their pending needs met by the first row,
-    the first row's remaining needs met by them, their unmatched members
-    the ones the seed's first row claims); a state that does not close
-    could never be used.
+    the backward bound walks too.  A layer maps each cost, ascending, to
+    the mask of the states whose least cost it is: one OR moves every
+    next state a state reaches with the same number of members.  The last
+    layer holds only states that close with the seed (their pending needs
+    met by the first row, the first row's remaining needs met by them,
+    their unmatched members the ones the seed's first row claims).  No
+    back-pointers are kept: a state at cost d with p members follows the
+    least state number at cost d - p in the layer before that reaches it.
 
     Three prunes leave every value and certificate as they would be
     without them.  Seeds run in lexicographic order, and the best set
@@ -346,24 +361,21 @@ def _row_sweep(
       is kept.
     * Incumbent: the bound starts at `bound` and becomes one less than
       each best set found.
-    * Lower bound: a transition to state number j with k rows after it is
-      dropped when its cost plus lb[k][j] (`_row_bounds`, the least cost
-      of k more rows, closure ignored) exceeds the bound.  Rows are tried
-      with the fewest members first, so a row that the least lb of the
+    * Lower bound: a state with k rows after it is dropped when its cost
+      plus its least cost of k more rows (`_row_bounds`, closure ignored)
+      exceeds the bound, one AND per level.  Moves are tried with the
+      fewest members first, so a move that the least such cost of the
       next layer already rules out ends the loop.
 
-    Why the certificate cannot move: call a state's cost in the DP
-    without these prunes d.  A state with d + lb <= bound keeps d and its
-    back-pointer.  Its first predecessor in number order, which is sorted
-    order, that reaches d has cost d - pop[c] and lb at most pop[c] + lb
-    of the state, so by induction it is kept with the same cost; a kept
-    state never costs less than d, so no other predecessor ties earlier.
-    Each state on a closing path of s* at the optimum has
-    d + lb <= optimum <= bound, since every seed before s* found more
-    than the optimum, and its last state closes, so it is kept; the least
-    closing cost of a seed, and its first state in number order, are
-    found exactly when that cost is within the bound, so the bound moves
-    as it would without the prunes.
+    Why the certificate cannot move: call a state's cost without these
+    prunes d.  A state with d + lb <= bound is kept at cost d, and so is
+    each predecessor at cost d - p, whose lb is at most p + lb of the
+    state; so the least of them is the same.  Each state on a closing path
+    of s* at the optimum has d + lb <= optimum <= bound, since every seed
+    before s* found more than the optimum, and its last state closes, so
+    it is kept; a seed's least closing cost, and its least state there,
+    are found exactly when that cost is within the bound, so the bound
+    moves as it would without the prunes.
     """
     paired = kind is DominationKind.PAIRED
     length, width, transposed = _orient(n, m)
@@ -385,43 +397,44 @@ def _row_sweep(
         if all((im[c1], im[u1], im[x1], im[w1]) >= (c1, u1, x1, w1) for im in images)
     ]
     states, moves = _row_moves(width, kind)
-    lb = _row_bounds(width, kind, length - 2)
-    floors = [min(rest) for rest in lb]
+    within = _row_bounds(width, kind, length - 2)
+    floors = [next(r for r, mask in enumerate(ok) if mask) for ok in within]
     best: Optional[tuple[int, list[int]]] = None
     for c1, u1, x1, w1 in seeds:
         r1 = need[c1] & ~u1  # first-row needs the last row must meet
-        # closing[j]: 0 if state j closes with the seed, else past any bound
-        closing = [
-            0 if not u & ~c1 and not r1 & ~c and w == x1 else bound + 1 for c, u, w in states
-        ]
-        # layers[t] maps state number -> (cost, previous state number)
-        layer: dict[int, tuple[int, Optional[int]]] = {
-            bisect.bisect_left(states, (c1, u1, w1)): (pop[c1], None)
-        }
-        layers = [layer]
+        closing = sum(  # the states that close with the seed
+            1 << j for j, (c, u, w) in enumerate(states) if not u & ~c1 and not r1 & ~c and w == x1
+        )
+        layers = [{pop[c1]: 1 << bisect.bisect_left(states, (c1, u1, w1))}]
         for k in range(length - 2, -1, -1):  # k rows after the next one
-            rest = lb[k] if k else closing
             room = bound - floors[k]
-            nxt: dict[int, tuple[int, Optional[int]]] = {}
-            for i in sorted(layer):
-                cost = layer[i][0]
-                for step, j in moves[i]:
-                    cand = cost + step
-                    if cand > room:
-                        break
-                    if cand + rest[j] > bound:
-                        continue
-                    old = nxt.get(j)
-                    if old is None or cand < old[0]:
-                        nxt[j] = (cand, i)
-            layer = nxt
+            reached = [0] * (room + 1)
+            for cost, mask in layers[-1].items():
+                for i in _bits(mask):
+                    for members, nexts in moves[i]:
+                        if cost + members > room:
+                            break
+                        reached[cost + members] |= nexts
+            layer = {}
+            seen = 0
+            for cost, nexts in enumerate(reached):
+                fresh = nexts & ~seen
+                seen |= nexts
+                fresh &= within[k][min(bound - cost, len(within[k]) - 1)] if k else closing
+                if fresh:
+                    layer[cost] = fresh
             layers.append(layer)
         if layer:
-            cost, cur = min((entry[0], i) for i, entry in layer.items())
-            rows = []
-            for t in range(length - 1, -1, -1):
+            cost = min(layer)
+            cur = _bits(layer[cost])[0]
+            rows = [states[cur][0]]
+            at = cost
+            for layer in layers[-2::-1]:
+                members = pop[rows[-1]]
+                at -= members
+                bit = 1 << cur
+                cur = next(i for i in _bits(layer[at]) if dict(moves[i]).get(members, 0) & bit)
                 rows.append(states[cur][0])
-                cur = layers[t][cur][1]
             best = (cost, rows[::-1])
             bound = cost - 1
 

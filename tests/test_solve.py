@@ -405,11 +405,15 @@ def _least_extension(width, kind, state, k, budget):
 def test_row_bounds_are_admissible_and_tight(width, kind):
     module = importlib.import_module("torusdom.solve")
     states = module._row_moves(width, kind)[0]
-    lb = module._row_bounds(width, kind, 3)
-    assert all(v == 0 for v in lb[0])
+    within = module._row_bounds(width, kind, 3)
+    everything = (1 << len(states)) - 1
+    assert within[0] == [everything]
     for k in (1, 2, 3):
-        assert len(lb[k]) == len(states)
-        for state, bound in zip(states, lb[k]):
+        # within[k][r]: the states whose bound is at most r, up to k full rows
+        assert len(within[k]) == width * k + 1 and within[k][-1] == everything
+        assert all(not lo & ~hi for lo, hi in zip(within[k], within[k][1:]))
+        for i, state in enumerate(states):
+            bound = next(r for r, mask in enumerate(within[k]) if mask >> i & 1)
             assert _least_extension(width, kind, state, k, bound) == bound, (k, state)
 
 
@@ -438,10 +442,75 @@ def test_row_moves_match_the_row_tables(width, kind):
             for c2 in supersets[u | w]
             for w2 in leftovers[c2 & ~w]
         ]
-        assert list(row) == expected, (c, u, w)
-        assert [step for step, _ in row] == sorted(step for step, _ in row)
-        # every row meeting the pending needs and partners, each exactly once
-        assert {states[j][0] for _, j in row} == {c2 for c2 in range(full + 1) if not (u | w) & ~c2}
+        # one nonempty mask per member count, fewest members first, which
+        # expands to exactly the expected moves, each once
+        assert [members for members, _ in row] == sorted({step for step, _ in expected})
+        assert all(mask for _, mask in row)
+        got = [(members, j) for members, mask in row for j in range(len(states)) if mask >> j & 1]
+        assert sorted(got) == sorted(expected) and len(set(expected)) == len(expected), (c, u, w)
+        # every row meeting the pending needs and partners
+        assert {states[j][0] for _, j in got} == {c2 for c2 in range(full + 1) if not (u | w) & ~c2}
+
+
+def _reference_sweep(n, m, kind, bound):
+    """(value, certificate mask) of the row sweep without its three prunes,
+    or None: every seed under the same cap, in the same order, each state
+    at its least cost with the least predecessor in number order, and the
+    best set replaced only by a strictly smaller one within the bound."""
+    module = importlib.import_module("torusdom.solve")
+    length, width, transposed = module._orient(n, m)
+    need, pop, supersets, leftovers = module._row_tables(width, kind)
+    states = module._row_moves(width, kind)[0]
+    number = {state: i for i, state in enumerate(states)}
+    best = None
+    cap = bound // length  # members of the first row, fixed by the first bound
+    for c1 in range(1 << width):
+        if pop[c1] > cap:
+            continue
+        for u1 in module._subsets(need[c1]):
+            for x1 in module._subsets(c1) if kind is PAIRED else (0,):
+                for w1 in leftovers[c1 & ~x1]:
+                    layers = [{number[(c1, u1, w1)]: (pop[c1], None)}]
+                    for _ in range(length - 1):
+                        nxt = {}
+                        for i, (cost, _) in sorted(layers[-1].items()):
+                            c, u, w = states[i]
+                            for c2 in supersets[u | w]:
+                                for w2 in leftovers[c2 & ~w]:
+                                    j = number[(c2, need[c2] & ~c, w2)]
+                                    if j not in nxt or cost + pop[c2] < nxt[j][0]:
+                                        nxt[j] = (cost + pop[c2], i)
+                        layers.append(nxt)
+                    r1 = need[c1] & ~u1
+                    closing = [
+                        (cost, j)
+                        for j, (cost, _) in layers[-1].items()
+                        if not states[j][1] & ~c1 and not r1 & ~states[j][0] and states[j][2] == x1
+                    ]
+                    if not closing or min(closing)[0] > bound:
+                        continue
+                    cost, cur = min(closing)
+                    rows = []
+                    for layer in layers[::-1]:
+                        rows.append(states[cur][0])
+                        cur = layer[cur][1]
+                    best = (cost, module._rows_to_set(rows[::-1], length, width, transposed).mask)
+                    bound = cost - 1
+    return best
+
+
+@pytest.mark.parametrize("kind", [PLAIN, TOTAL, PAIRED])
+@pytest.mark.parametrize("width", [3, 4, 5])
+def test_row_sweep_matches_a_prune_free_sweep(width, kind):
+    module = importlib.import_module("torusdom.solve")
+    longest = 10 if width < 5 else 8 if kind is not PAIRED else 6
+    for length in range(width, longest + 1):
+        n, m = (length, width) if length % 2 else (width, length)
+        bound = len(module._witness_upper(n, m, kind))
+        found = module._row_sweep(n, m, kind, bound, 0.0)
+        assert (found.value, found.certificate.mask) == _reference_sweep(n, m, kind, bound), (n, m)
+        assert module._row_sweep(n, m, kind, found.value - 1, 0.0) is None
+        assert _reference_sweep(n, m, kind, found.value - 1) is None
 
 
 def test_dp_rejects_invalid_certificate(monkeypatch):
