@@ -7,16 +7,16 @@ Four engines, each certifying optimality a different way:
 * one cyclic row-sweep dynamic program for plain, total and paired
   sets, carrying per-row membership, outstanding-domination and
   unmatched-member masks (the last always empty unless paired), with
-  wraparound closed by boundary seeds.  Its states are numbered once
-  per width and kind; one move table holds each state's next states as
-  a mask per member count, for the sweep and its bound alike, and a
+  wraparound closed by boundary seeds.  Its setup is built once per
+  width and kind: numbered states, one move table (next states as a mask
+  per member count, for the sweep and its bound alike), each level of
+  the bound, the ring's images, the seeds and their closing masks.  A
   layer is a mask per cost, so one OR moves a group of states.  Three
-  prunes leave its values
-  and certificates unchanged: one seed per orbit of the width ring's
-  rotations and reflections, costs bounded by the best set found so
-  far, and a backward lower bound on the cost of the rows still to
-  come.  Bounded at nm/4 total members, it also finds the efficient
-  total dominating sets (`find_efficient_tds`);
+  prunes leave its values and certificates unchanged: one seed per orbit
+  of the width ring's rotations and reflections, costs bounded by the
+  best set found so far, and a backward lower bound on the cost of the
+  rows still to come.  Bounded at nm/4 total members, it also finds the
+  efficient total dominating sets (`find_efficient_tds`);
 * a branch-and-bound over disjoint adjacent pairs for paired sets on
   grids too wide for the DP, with iterative deepening from the
   parity-rounded degree bound so exhaustion below the answer is the
@@ -43,7 +43,6 @@ import bisect
 import enum
 import functools
 import itertools
-import re
 import time
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
@@ -167,14 +166,6 @@ def _orient(n: int, m: int) -> tuple[int, int, bool]:
     return m, n, True
 
 
-def _rot_left(c: int, w: int, full: int) -> int:
-    return ((c << 1) & full) | (c >> (w - 1))
-
-
-def _rot_right(c: int, w: int, full: int) -> int:
-    return (c >> 1) | ((c & 1) << (w - 1))
-
-
 def _subsets(mask: int) -> list[int]:
     """Every submask of mask, in ascending order."""
     out = [0]
@@ -187,14 +178,23 @@ def _subsets(mask: int) -> list[int]:
 
 def _rows_to_set(rows: list[int], length: int, width: int, transposed: bool) -> VertexSet:
     """The set with member mask rows[i - 1] on row i, in the caller's orientation."""
-    verts = [(i, j) for i, c in enumerate(rows, 1) for j in range(1, width + 1) if c >> (j - 1) & 1]
-    found = VertexSet.from_vertices(make_torus(length, width).dims, verts)
+    found = VertexSet(TorusDims(length, width), sum(c << i * width for i, c in enumerate(rows)))
     return found.transposed() if transposed else found
 
 
 def _witness_upper(n: int, m: int, kind: DominationKind) -> VertexSet:
     catalog_kind = DominationKind.PAIRED if kind is DominationKind.PAIRED else DominationKind.TOTAL
     return best_upper_witness(n, m, catalog_kind).vertex_set
+
+
+@functools.lru_cache(maxsize=None)
+def _ring_images(width: int) -> tuple[tuple[int, ...], ...]:
+    """images[2r + (s < 0)][c]: ring mask c under j -> r + s*j (mod width)."""
+    return tuple(
+        tuple(sum(1 << (r + s * j) % width for j in range(width) if c >> j & 1) for c in range(1 << width))
+        for r in range(width)
+        for s in (1, -1)
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -221,7 +221,7 @@ def _cycle_leftovers(w: int) -> tuple[tuple[int, ...], ...]:
 @functools.lru_cache(maxsize=None)
 def _row_tables(width: int, kind: DominationKind) -> tuple[tuple, ...]:
     """The row sweep's transition tables for one ring width and kind, from
-    which `_row_moves` builds its move table and `_row_sweep` its seeds.
+    which `_row_moves` builds its move table and `_row_seeds` its seeds.
 
     need[c]: the vertices of a row with members c that no member of that
     row dominates; pop[c]: the members of c; supersets[u]: every row
@@ -231,15 +231,14 @@ def _row_tables(width: int, kind: DominationKind) -> tuple[tuple, ...]:
     """
     full = (1 << width) - 1
     total = kind is DominationKind.TOTAL
-    ring = [_rot_left(c, width, full) | _rot_right(c, width, full) for c in range(full + 1)]
+    ring = [(c << 1 | c >> 1 | c << width - 1 | c >> width - 1) & full for c in range(full + 1)]
     need = tuple((full if total else full & ~c) & ~ring[c] for c in range(full + 1))
     pop = tuple(c.bit_count() for c in range(full + 1))
     supersets = tuple(
         tuple(sorted((u | s for s in _subsets(full & ~u)), key=pop.__getitem__))
         for u in range(full + 1)
     )
-    paired = kind is DominationKind.PAIRED
-    leftovers = _cycle_leftovers(width) if paired else ((0,),) * (full + 1)
+    leftovers = _cycle_leftovers(width) if kind is DominationKind.PAIRED else ((0,),) * (full + 1)
     return need, pop, supersets, leftovers
 
 
@@ -254,12 +253,11 @@ def _row_moves(width: int, kind: DominationKind) -> tuple[tuple, tuple]:
     that many members) pairs of state i, fewest members first.
     """
     need, pop, supersets, leftovers = _row_tables(width, kind)
-    paired = kind is DominationKind.PAIRED
     states = tuple(
         (c, u, w)
         for c in range(len(need))
         for u in _subsets(need[c])
-        for w in (_subsets(c) if paired else (0,))
+        for w in (_subsets(c) if kind is DominationKind.PAIRED else (0,))
     )
     # state (c, u, w) is numbered first[(c, u)] plus the rank of w among the
     # submasks of c, so spots[c][x] marks the states of leftovers[x] by rank
@@ -278,37 +276,61 @@ def _row_moves(width: int, kind: DominationKind) -> tuple[tuple, tuple]:
     return states, tuple(moves)
 
 
-def _bits(mask: int) -> list[int]:
-    """The set bits of mask, lowest first."""
-    return [hit.start() for hit in re.finditer("1", bin(mask)[:1:-1])]
+@functools.lru_cache(maxsize=None)
+def _row_within(width: int, kind: DominationKind, k: int) -> tuple[tuple[int, ...], int]:
+    """(within[k], floor): within[k][r] is the mask of the row-sweep state
+    numbers (`_row_moves`) whose least cost of k more rows, with the
+    wraparound closure ignored, is at most r, for r = 0..width*k since k
+    full rows always extend, and floor is the least r with a state.  One
+    backward min-plus step from within[k - 1] over the kernel's move table.
+    """
+    moves = _row_moves(width, kind)[1]
+    if not k:
+        return ((1 << len(moves)) - 1,), 0
+    prev, floor = _row_within(width, kind, k - 1)
+    levels = [0] * (width * k + 1)
+    for i, row in enumerate(moves):
+        least = width * k
+        for step, mask in row:
+            if step + floor >= least:
+                break
+            r = floor
+            while step + r < least and not mask & prev[r]:
+                r += 1
+            least = min(least, step + r)
+        levels[least] |= 1 << i
+    within = tuple(itertools.accumulate(levels, int.__or__))
+    return within, next(r for r, mask in enumerate(within) if mask)
 
 
 def _row_bounds(width: int, kind: DominationKind, rows: int) -> list[list[int]]:
-    """within[k][r]: the mask of the row-sweep state numbers (`_row_moves`)
-    whose least cost of k more rows, with the wraparound closure ignored,
-    is at most r; for k = 0..rows and r = 0..width*k, since k full rows
-    always extend.
+    """within[k] of `_row_within` for k = 0..rows, as lists."""
+    return [list(_row_within(width, kind, k)[0]) for k in range(rows + 1)]
 
-    One backward min-plus pass over the kernel's own move table.
-    """
-    moves = _row_moves(width, kind)[1]
-    within = [[(1 << len(moves)) - 1]]
-    for k in range(1, rows + 1):
-        prev = within[-1]
-        floor = next(r for r, mask in enumerate(prev) if mask)
-        levels = [0] * (width * k + 1)
-        for i, row in enumerate(moves):
-            least = width * k
-            for step, mask in row:
-                if step + floor >= least:
-                    break
-                r = floor
-                while step + r < least and not mask & prev[r]:
-                    r += 1
-                least = min(least, step + r)
-            levels[least] |= 1 << i
-        within.append(list(itertools.accumulate(levels, int.__or__)))
-    return within
+
+@functools.lru_cache(maxsize=None)
+def _row_seeds(width: int, kind: DominationKind, cap: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The row sweep's seeds (c1, u1, x1, w1) with at most `cap` first-row
+    members, in lexicographic order, each least in its orbit (`_row_sweep`)."""
+    need, pop, _, leftovers = _row_tables(width, kind)
+    images = _ring_images(width)
+    return tuple(
+        (c1, u1, x1, w1)
+        for c1 in range(1 << width) if pop[c1] <= cap
+        for u1 in _subsets(need[c1])
+        for x1 in (_subsets(c1) if kind is DominationKind.PAIRED else (0,))
+        for w1 in leftovers[c1 & ~x1]
+        if all((im[c1], im[u1], im[x1], im[w1]) >= (c1, u1, x1, w1) for im in images)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _closing(width: int, kind: DominationKind, c1: int, r1: int, x1: int) -> int:
+    """The mask of the row-sweep states that close with a seed's first row
+    (members c1, needs r1 left to the last row, partners x1 claimed from
+    it): their pending needs met by c1, r1 by their members, x1 unmatched."""
+    states = _row_moves(width, kind)[0]
+    return sum(1 << j for j, (c, u, w) in enumerate(states) if not u & ~c1 and not r1 & ~c and w == x1)
 
 
 def _check_dp_width(n: int, m: int, kind: DominationKind) -> None:
@@ -338,16 +360,16 @@ def _row_sweep(
     chooses the bound (a witness's size, or nm/4 for an efficient set) and
     checks the width cap (`_check_dp_width`).
 
-    States are numbered once per width and kind in ascending tuple order,
-    and every transition is read from one move table (`_row_moves`), which
-    the backward bound walks too.  A layer maps each cost, ascending, to
-    the mask of the states whose least cost it is: one OR moves every
-    next state a state reaches with the same number of members.  The last
-    layer holds only states that close with the seed (their pending needs
-    met by the first row, the first row's remaining needs met by them,
-    their unmatched members the ones the seed's first row claims).  No
-    back-pointers are kept: a state at cost d with p members follows the
-    least state number at cost d - p in the layer before that reaches it.
+    What depends only on the width and kind is built once per process: the
+    states, numbered in ascending tuple order, with one move table
+    (`_row_moves`), each level of the backward bound (`_row_within`), the
+    seeds under each cap (`_row_seeds`) and each seed's closing mask
+    (`_closing`).  A layer maps each cost, ascending, to the mask of the
+    states whose least cost it is: one OR moves every next state a state
+    reaches with the same number of members.  The last layer holds only
+    states that close with the seed.  No back-pointers are kept: a state
+    at cost d with p members follows the least state number at cost d - p
+    in the layer before that reaches it.
 
     Three prunes leave every value and certificate as they would be
     without them.  Seeds run in lexicographic order, and the best set
@@ -377,40 +399,20 @@ def _row_sweep(
     are found exactly when that cost is within the bound, so the bound
     moves as it would without the prunes.
     """
-    paired = kind is DominationKind.PAIRED
     length, width, transposed = _orient(n, m)
-    full = (1 << width) - 1
-    need, pop, _, leftovers = _row_tables(width, kind)
-
-    # images[k][c]: mask c under the k-th of the ring's w rotations and w reflections
-    images = [
-        [sum(1 << (r + s * j) % width for j in range(width) if c >> j & 1) for c in range(full + 1)]
-        for r in range(width)
-        for s in (1, -1)
-    ]
-    seeds = [
-        (c1, u1, x1, w1)
-        for c1 in range(full + 1) if pop[c1] <= bound // length
-        for u1 in _subsets(need[c1])
-        for x1 in (_subsets(c1) if paired else (0,))
-        for w1 in leftovers[c1 & ~x1]
-        if all((im[c1], im[u1], im[x1], im[w1]) >= (c1, u1, x1, w1) for im in images)
-    ]
+    need, pop = _row_tables(width, kind)[:2]
     states, moves = _row_moves(width, kind)
-    within = _row_bounds(width, kind, length - 2)
-    floors = [next(r for r, mask in enumerate(ok) if mask) for ok in within]
+    bounds = [_row_within(width, kind, k) for k in range(length - 1)]
     best: Optional[tuple[int, list[int]]] = None
-    for c1, u1, x1, w1 in seeds:
-        r1 = need[c1] & ~u1  # first-row needs the last row must meet
-        closing = sum(  # the states that close with the seed
-            1 << j for j, (c, u, w) in enumerate(states) if not u & ~c1 and not r1 & ~c and w == x1
-        )
+    for c1, u1, x1, w1 in _row_seeds(width, kind, bound // length):
+        closing = _closing(width, kind, c1, need[c1] & ~u1, x1)
         layers = [{pop[c1]: 1 << bisect.bisect_left(states, (c1, u1, w1))}]
         for k in range(length - 2, -1, -1):  # k rows after the next one
-            room = bound - floors[k]
+            within, floor = bounds[k]
+            room = bound - floor
             reached = [0] * (room + 1)
             for cost, mask in layers[-1].items():
-                for i in _bits(mask):
+                for i in set_slots(mask):
                     for members, nexts in moves[i]:
                         if cost + members > room:
                             break
@@ -420,23 +422,21 @@ def _row_sweep(
             for cost, nexts in enumerate(reached):
                 fresh = nexts & ~seen
                 seen |= nexts
-                fresh &= within[k][min(bound - cost, len(within[k]) - 1)] if k else closing
+                fresh &= within[min(bound - cost, len(within) - 1)] if k else closing
                 if fresh:
                     layer[cost] = fresh
             layers.append(layer)
         if layer:
-            cost = min(layer)
-            cur = _bits(layer[cost])[0]
+            bound = at = min(layer)
+            cur = set_slots(layer[at])[0]
             rows = [states[cur][0]]
-            at = cost
             for layer in layers[-2::-1]:
                 members = pop[rows[-1]]
                 at -= members
-                bit = 1 << cur
-                cur = next(i for i in _bits(layer[at]) if dict(moves[i]).get(members, 0) & bit)
+                cur = next(i for i in set_slots(layer[at]) if dict(moves[i]).get(members, 0) >> cur & 1)
                 rows.append(states[cur][0])
-            best = (cost, rows[::-1])
-            bound = cost - 1
+            best = (bound, rows[::-1])
+            bound -= 1
 
     if best is None:
         return None

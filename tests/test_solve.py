@@ -256,6 +256,26 @@ def test_dp_certificates_match_recorded():
         assert (res.value, hex(res.certificate.mask)) == (value, mask), (n, m, kind)
 
 
+def _clear_row_sweep_setup(module):
+    """Empty the caches that carry the row sweep's setup from call to call."""
+    for cached in (module._ring_images, module._row_within, module._row_seeds, module._closing):
+        cached.cache_clear()
+
+
+def test_dp_certificates_do_not_depend_on_call_order():
+    # the row sweep's bounds, seeds and closing masks outlive a call, so
+    # solve the recorded entries from cold caches in the reverse order
+    module = importlib.import_module("torusdom.solve")
+    path = Path(__file__).parent / "data" / "dp_certificates.json"
+    entries = json.loads(path.read_text())
+    assert len(entries) == 126
+    _clear_row_sweep_setup(module)
+    for n, m, kind, value, mask in reversed(entries):
+        kind = DominationKind(kind)
+        res = solve_paired_dp(n, m) if kind is PAIRED else solve_profile_dp(n, m, kind)
+        assert (res.value, hex(res.certificate.mask)) == (value, mask), (n, m, kind)
+
+
 def test_paired_search_certificates_match_recorded():
     # [n, m, value, hex mask] of 15 pair searches, recorded before the search
     # walked precomputed candidates and banned root-edge orbits; 8x7, 7x8 and
@@ -415,6 +435,23 @@ def test_row_bounds_are_admissible_and_tight(width, kind):
         for i, state in enumerate(states):
             bound = next(r for r, mask in enumerate(within[k]) if mask >> i & 1)
             assert _least_extension(width, kind, state, k, bound) == bound, (k, state)
+
+
+@pytest.mark.parametrize("kind", [PLAIN, TOTAL, PAIRED])
+@pytest.mark.parametrize("width", [3, 4, 5, 6])
+def test_row_bounds_read_short_after_long_equal_a_fresh_build(width, kind):
+    module = importlib.import_module("torusdom.solve")
+    _clear_row_sweep_setup(module)
+    module._row_bounds(width, kind, 9)
+    short = module._row_bounds(width, kind, 4)
+    _clear_row_sweep_setup(module)
+    fresh = module._row_bounds(width, kind, 4)
+    assert len(short) == len(fresh) == 5
+    for k, (cached, built) in enumerate(zip(short, fresh)):
+        assert cached == built, k
+        # the floor kept beside each level is its least nonempty bound
+        floor = module._row_within(width, kind, k)[1]
+        assert floor == next(r for r, mask in enumerate(built) if mask), k
 
 
 @pytest.mark.parametrize(
