@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .errors import CertificateError, InvalidDimensionsError, OutOfRangeError
-from .torus import TorusDims, VertexId, VertexSet, make_torus
+from .errors import CertificateError, InvalidDimensionsError
+from .torus import TorusDims, VertexSet, make_torus
 from .validate import DominationKind, satisfies
 
 SCHEMA_VERSION = 1
@@ -60,11 +60,18 @@ class Certificate:
         Raises CertificateError otherwise; a grid above the order cap
         raises InstanceTooLargeError, as TorusDims does everywhere.
         """
+        n, m = self.n, self.m
         try:
-            dims = TorusDims(self.n, self.m)
-            slots = [dims.slot(VertexId(i, j)) for i, j in self.vertices]
-        except (InvalidDimensionsError, OutOfRangeError) as exc:
+            dims = TorusDims(n, m)
+        except InvalidDimensionsError as exc:
             raise CertificateError(f"bad dimensions or vertices: {exc}") from exc
+        slots = []
+        for i, j in self.vertices:
+            if not (1 <= i <= n and 1 <= j <= m):
+                raise CertificateError(
+                    f"bad dimensions or vertices: vertex {(i, j)} outside {n}x{m} grid"
+                )
+            slots.append((i - 1) * m + j - 1)
         if any(a >= b for a, b in zip(slots, slots[1:])):
             raise CertificateError("vertices must be distinct and in slot order")
         if self.cardinality != len(slots):
@@ -111,20 +118,21 @@ class Certificate:
         except ValueError as exc:
             raise CertificateError(f"unknown kind {doc['kind']!r}") from exc
         raw = doc["vertices"]
-        if not isinstance(raw, list) or any(
-            not isinstance(p, list) or len(p) != 2
-            or not all(isinstance(c, int) and not isinstance(c, bool) for c in p)
+        # JSON yields exact types only, so `type(...) is int` refuses
+        # bools and floats alike
+        if type(raw) is not list or any(
+            type(p) is not list or len(p) != 2 or type(p[0]) is not int or type(p[1]) is not int
             for p in raw
         ):
             raise CertificateError("vertices must be a list of [i, j] integer pairs")
         for field in ("n", "m", "cardinality"):
-            if not isinstance(doc[field], int) or isinstance(doc[field], bool):
+            if type(doc[field]) is not int:
                 raise CertificateError(f"{field} must be an integer")
-        if not isinstance(doc["provenance"], str):
+        if type(doc["provenance"]) is not str:
             raise CertificateError("provenance must be a string")
         cert = cls(
             doc["n"], doc["m"], kind, doc["cardinality"],
-            tuple((i, j) for i, j in raw), doc["provenance"],
+            tuple(map(tuple, raw)), doc["provenance"],
         )
         if cert.to_json() != text:
             raise CertificateError("certificate is not in canonical form")

@@ -4,7 +4,11 @@ Subcommands: value (closed forms and bound intervals), construct (emit a
 pattern certificate), verify (re-validate a certificate file), solve
 (exact computation with certificate output and result caching), table
 (sweep a rectangle of instances to CSV or JSON) and audit (end-to-end
-cross-checks for one instance).
+cross-checks for one instance).  One table, `_COMMANDS`, holds each
+subcommand's help line, arguments and handler; an invocation builds only
+the parser of the subcommand it names, and the full tree only for
+top-level help, a missing or unknown command, or arguments its
+subcommand does not know.
 
 Exit codes: 0 success or verified, 1 verification failure, mismatch or
 unsupported request, 2 usage error, 3 instance too large.
@@ -16,6 +20,7 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Optional
 
@@ -117,17 +122,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for kind in DominationKind:
         verdicts[kind] = satisfies(g, cert_vs, kind)
         print(f"  {kind.value}: {'yes' if verdicts[kind] else 'no'}")
-    counts = domination_multiplicity(g, cert_vs)
-    histogram: dict[int, int] = {}
-    for c in counts:
-        histogram[c] = histogram.get(c, 0) + 1
+    histogram = Counter(domination_multiplicity(g, cert_vs))
     line = ", ".join(f"{k}x{histogram[k]}" for k in sorted(histogram))
     print(f"  multiplicity histogram (dominators x vertices): {line}")
-    profile_g, profile_vs = g, cert_vs
-    if cert.m != 3 and cert.n == 3:
-        profile_g, profile_vs = make_torus(cert.m, cert.n), cert_vs.transposed()
-    profile = column_profile(profile_g, profile_vs)
-    if profile.applicable:
+    # a column profile applies only to a grid with a side of 3
+    profile = None
+    if cert.m == 3:
+        profile = column_profile(g, cert_vs)
+    elif cert.n == 3:
+        profile = column_profile(make_torus(cert.m, cert.n), cert_vs.transposed())
+    if profile is not None and profile.applicable:
         print(
             f"  column profile: alpha = {profile.alpha}, "
             f"identity {'ok' if profile.identity_ok else 'FAIL'}, "
@@ -155,12 +159,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return 1
     if args.out:
         cert.save(args.out)
-    cache.put(args.n, args.m, kind, args.method, res.value, cert.digest())
+    digest = cert.digest()
+    cache.put(args.n, args.m, kind, args.method, res.value, digest)
     print(
         f"{_GAMMA[kind]}({args.n},{args.m}) = {res.value} "
         f"[method {res.method.value}, {res.elapsed:.3f}s]"
     )
-    print(f"  certificate digest {cert.digest()}")
+    print(f"  certificate digest {digest}")
     if args.out:
         print(f"  wrote {args.out}")
     return 0
@@ -277,73 +282,96 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return 0 if not failed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="torusdom",
-        description="Total and paired domination numbers of toroidal meshes.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_instance(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True, help="first cycle length")
+    p.add_argument("--m", type=int, required=True, help="second cycle length")
 
-    def add_instance(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--n", type=int, required=True, help="first cycle length")
-        p.add_argument("--m", type=int, required=True, help="second cycle length")
 
-    p_value = sub.add_parser("value", help="closed-form value or bound interval")
-    add_instance(p_value)
-    p_value.add_argument("--kind", choices=sorted(_KINDS), default="total")
-    p_value.set_defaults(func=cmd_value)
+def _args_value(p: argparse.ArgumentParser) -> None:
+    _add_instance(p)
+    p.add_argument("--kind", choices=sorted(_KINDS), default="total")
 
-    p_construct = sub.add_parser("construct", help="emit a pattern certificate")
-    add_instance(p_construct)
-    p_construct.add_argument("--kind", choices=sorted(_KINDS), default="total")
-    p_construct.add_argument("--out", help="certificate path (default: stdout)")
-    p_construct.set_defaults(func=cmd_construct)
 
-    p_verify = sub.add_parser("verify", help="re-validate a certificate file")
-    p_verify.add_argument("file", help="certificate path")
-    p_verify.add_argument(
-        "--kind", choices=sorted(_KINDS), help="override the claimed kind"
-    )
-    p_verify.set_defaults(func=cmd_verify)
+def _args_construct(p: argparse.ArgumentParser) -> None:
+    _add_instance(p)
+    p.add_argument("--kind", choices=sorted(_KINDS), default="total")
+    p.add_argument("--out", help="certificate path (default: stdout)")
 
-    p_solve = sub.add_parser("solve", help="exact value with certificate")
-    add_instance(p_solve)
-    p_solve.add_argument("--kind", choices=sorted(_KINDS), default="total")
-    p_solve.add_argument("--method", choices=["auto", "oracle", "dp"], default="auto")
-    p_solve.add_argument("--out", help="write the certificate here")
-    p_solve.add_argument("--cache-dir", help="result cache directory")
-    p_solve.add_argument(
+
+def _args_verify(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file", help="certificate path")
+    p.add_argument("--kind", choices=sorted(_KINDS), help="override the claimed kind")
+
+
+def _args_solve(p: argparse.ArgumentParser) -> None:
+    _add_instance(p)
+    p.add_argument("--kind", choices=sorted(_KINDS), default="total")
+    p.add_argument("--method", choices=["auto", "oracle", "dp"], default="auto")
+    p.add_argument("--out", help="write the certificate here")
+    p.add_argument("--cache-dir", help="result cache directory")
+    p.add_argument(
         "--canonical",
         action="store_true",
         help="emit the lexicographically least certificate "
         "(exact on small grids, rotation-orbit representative beyond)",
     )
-    p_solve.set_defaults(func=cmd_solve)
 
-    p_table = sub.add_parser("table", help="sweep instances to csv or json")
-    p_table.add_argument(
-        "--n", type=_parse_range, required=True, help="value or range like 3..13"
+
+def _args_table(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=_parse_range, required=True, help="value or range like 3..13")
+    p.add_argument("--m", type=_parse_range, required=True, help="value or range like 3..13")
+    p.add_argument("--kind", choices=sorted(_KINDS), default="total")
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument("--out", help="output path (default: stdout)")
+
+
+def _args_audit(p: argparse.ArgumentParser) -> None:
+    _add_instance(p)
+    p.add_argument("--cache-dir", help="result cache directory")
+
+
+# name -> (help line, adds the arguments, handler), in the order of the help
+_COMMANDS = {
+    "value": ("closed-form value or bound interval", _args_value, cmd_value),
+    "construct": ("emit a pattern certificate", _args_construct, cmd_construct),
+    "verify": ("re-validate a certificate file", _args_verify, cmd_verify),
+    "solve": ("exact value with certificate", _args_solve, cmd_solve),
+    "table": ("sweep instances to csv or json", _args_table, cmd_table),
+    "audit": ("end-to-end cross-checks", _args_audit, cmd_audit),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of one subcommand, named as in the full tree, or the
+    full tree when `command` names none (top-level help, a missing or
+    unknown command)."""
+    if command in _COMMANDS:
+        _, add_arguments, handler = _COMMANDS[command]
+        parser = argparse.ArgumentParser(prog=f"torusdom {command}")
+        add_arguments(parser)
+        parser.set_defaults(func=handler)
+        return parser
+    parser = argparse.ArgumentParser(
+        prog="torusdom",
+        description="Total and paired domination numbers of toroidal meshes.",
     )
-    p_table.add_argument(
-        "--m", type=_parse_range, required=True, help="value or range like 3..13"
-    )
-    p_table.add_argument("--kind", choices=sorted(_KINDS), default="total")
-    p_table.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_table.add_argument("--out", help="output path (default: stdout)")
-    p_table.set_defaults(func=cmd_table)
-
-    p_audit = sub.add_parser("audit", help="end-to-end cross-checks")
-    add_instance(p_audit)
-    p_audit.add_argument("--cache-dir", help="result cache directory")
-    p_audit.set_defaults(func=cmd_audit)
-
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args, extra = build_parser(command).parse_known_args(argv[1:] if command else argv)
+        if extra:
+            # the full tree reports leftovers under the top-level usage
+            build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

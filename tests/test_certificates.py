@@ -65,6 +65,9 @@ def test_from_json_rejects_malformed_documents():
         text.replace('"kind": "paired"', '"kind": "quadruple"'),
         text.replace("[1, 1]", "[1, true]"),
         text.replace('"cardinality": 4', '"cardinality": "4"'),
+        text.replace("[1, 1]", "[1.0, 1]"),
+        text.replace("[1, 1]", "[1, 1, 1]"),
+        text.replace("[1, 1]", "1"),
     ]
     for bad in cases:
         with pytest.raises(CertificateError):
@@ -115,8 +118,10 @@ def test_check_rejects_failed_domination():
 def test_check_rejects_bad_coordinates():
     with pytest.raises(CertificateError):
         Certificate(2, 3, TOTAL, 1, ((1, 1),), "x").check()
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match=r"outside 4x4 grid"):
         Certificate(4, 4, TOTAL, 1, ((5, 1),), "x").check()
+    with pytest.raises(CertificateError, match=r"^bad dimensions or vertices: vertex \(1, 0\) outside"):
+        Certificate(4, 4, TOTAL, 2, ((1, 0), (1, 2)), "x").vertex_set()
 
 
 def test_save_and_load(tmp_path):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from torusdom.certificates import Certificate, ResultCache, load_certificate
-from torusdom.cli import main
+from torusdom.cli import build_parser, main
 from torusdom.errors import ConstructionInvalidError
 from torusdom.solve import solve, solve_oracle
 from torusdom.validate import DominationKind
@@ -46,8 +47,32 @@ def test_usage_errors_exit_two(capsys):
     assert main(["value", "--n", "3"]) == 2
     assert main(["value", "--n", "3", "--m", "4", "--kind", "quad"]) == 2
     assert main([]) == 2
+    assert main(["bogus"]) == 2
     assert main(["table", "--n", "3..x", "--m", "3"]) == 2
     capsys.readouterr()
+    assert main(["solve", "--n", "3"]) == 2
+    assert capsys.readouterr().err.startswith("usage: torusdom solve [-h]")
+    # arguments the subcommand does not know are reported under the top-level usage
+    assert main(["value", "--n", "4", "--m", "4", "--bogus"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: torusdom [-h]")
+    assert err.endswith("torusdom: error: unrecognized arguments: --bogus\n")
+
+
+@pytest.mark.parametrize("command", ["value", "construct", "verify", "solve", "table", "audit"])
+def test_one_subcommand_parser_reads_as_in_the_full_tree(command):
+    full = build_parser()
+    (choices,) = [a.choices for a in full._actions if isinstance(a, argparse._SubParsersAction)]
+    alone = build_parser(command)
+    assert alone.format_help() == choices[command].format_help()
+    assert alone.format_usage() == choices[command].format_usage()
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert "{value,construct,verify,solve,table,audit}" in capsys.readouterr().out
+    assert main(["solve", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: torusdom solve [-h]")
 
 
 def test_construct_to_stdout(capsys):
@@ -129,6 +154,27 @@ def test_verify_accepts_good_certificate(tmp_path, capsys):
     assert "claimed paired: VERIFIED" in out
     assert "paired: yes" in out
     assert "column profile: alpha = (3, 4, 2, 0)" in out
+
+
+def test_verify_profiles_a_width_3_grid_either_way_round(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    main(["construct", "--n", "9", "--m", "3", "--kind", "paired", "--out", str(path)])
+    cert = load_certificate(path)
+    flipped = tmp_path / "flipped.json"
+    Certificate.from_vertex_set(cert.vertex_set().transposed(), PAIRED, "flipped").save(flipped)
+    capsys.readouterr()
+    assert main(["verify", str(flipped)]) == 0
+    out = capsys.readouterr().out
+    assert "certificate 3x9 paired" in out
+    assert "column profile: alpha = (3, 4, 2, 0)" in out
+
+
+def test_verify_prints_no_profile_without_a_side_of_3(capsys):
+    path = Path(__file__).resolve().parents[1] / "bench" / "data" / "certs" / "61x61-total.json"
+    assert main(["verify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "column profile" not in out
+    assert out.endswith("claimed total: VERIFIED\n")
 
 
 def test_verify_detects_tampered_cardinality(tmp_path, capsys):
