@@ -11,10 +11,10 @@ family validates on its residue class at the size the bound catalog
 claims; best_upper_witness still builds each applicable family, once
 each, and returns the smallest one that validates.
 
-Also provides the two set transformations used to move witnesses
-between grid sizes: width-3 column normalization and single-row
-projection (with matching repair for paired sets, on the induced
-subgraph that `validate` builds for its own perfect-matching check).
+Also provides the set transformation used to move witnesses between
+grid sizes: single-row projection (with matching repair for paired sets,
+on the induced subgraph that `validate` builds for its own
+perfect-matching check).
 """
 
 from __future__ import annotations
@@ -348,34 +348,6 @@ def _project_corner_trimmed(n: int, m: int, kind: DominationKind) -> Constructio
     if len(d) > bound:
         raise ConstructionInvalidError(f"projected corner pattern grew past {bound}")
     return _finish(d.dims, d.pairs(), len(d), kind, "corner-trimmed-projected")
-
-
-def normalize_columns_m3(g: TorusGraph, d: VertexSet) -> VertexSet:
-    """Empty the sides of every fully occupied row of a width-3 grid.
-
-    Replaces the side rungs of each full row with the neighbouring
-    centre rungs, sweeping rows in increasing order until no row is
-    full.  Total domination is preserved; cardinality never grows and
-    may shrink when an added centre already exists.
-    """
-    if g.m != 3:
-        raise InvalidInputError(f"normalization applies to width 3, got width {g.m}")
-    if not is_total_dominating(g, d):
-        raise InvalidInputError("input is not a total dominating set")
-    n = g.n
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, n + 1):
-            if all((i, j) in d for j in (1, 2, 3)):
-                d = d.remove(i, 1).remove(i, 3)
-                for a in (i - 1, i + 1):
-                    w = g.dims.wrap(a, 2)
-                    d = d.add(w.i, w.j)
-                changed = True
-    if not is_total_dominating(g, d):
-        raise CertificateError("width-3 normalization lost total domination")
-    return d
 
 
 def _repair_matching(

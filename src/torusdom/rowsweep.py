@@ -1,0 +1,296 @@
+"""The cyclic row-sweep dynamic program for plain, total and paired sets.
+
+The sweep carries per-row membership, outstanding-domination and
+unmatched-member masks (the last always empty unless paired), with
+wraparound closed by boundary seeds.  Its setup is built once per width
+and kind and kept for the process: numbered states, one move table (next
+states as a mask per member count, for the sweep and its bound alike),
+each level of the bound, the ring's images, the seeds and their closing
+masks.  A layer is a mask per cost, so one OR moves a group of states.
+Three prunes leave its values and certificates unchanged: one seed per
+orbit of the width ring's rotations and reflections, costs bounded by
+the best set found so far, and a backward lower bound on the cost of the
+rows still to come.
+
+This module is the kernel only: `_row_sweep` returns a value and a set,
+and `solve` checks the set and decides when the sweep runs.  It imports
+neither `solve` nor `construct`, so either may use the move table.
+"""
+
+from __future__ import annotations
+
+import bisect
+import functools
+import itertools
+from typing import Optional
+
+from .torus import TorusDims, VertexSet, set_slots
+from .validate import DominationKind
+
+
+def _orient(n: int, m: int) -> tuple[int, int, bool]:
+    """(length, width, transposed) with width = the smaller side."""
+    if m <= n:
+        return n, m, False
+    return m, n, True
+
+
+def _subsets(mask: int) -> list[int]:
+    """Every submask of mask, in ascending order."""
+    out = [0]
+    sub = 0
+    while sub != mask:
+        sub = (sub - mask) & mask
+        out.append(sub)
+    return out
+
+
+def _rows_to_set(rows: list[int], length: int, width: int, transposed: bool) -> VertexSet:
+    """The set with member mask rows[i - 1] on row i, in the caller's orientation."""
+    found = VertexSet(TorusDims(length, width), sum(c << i * width for i, c in enumerate(rows)))
+    return found.transposed() if transposed else found
+
+
+@functools.lru_cache(maxsize=None)
+def _ring_images(width: int) -> tuple[tuple[int, ...], ...]:
+    """images[2r + (s < 0)][c]: ring mask c under j -> r + s*j (mod width)."""
+    return tuple(
+        tuple(sum(1 << (r + s * j) % width for j in range(width) if c >> j & 1) for c in range(1 << width))
+        for r in range(width)
+        for s in (1, -1)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _cycle_leftovers(w: int) -> tuple[tuple[int, ...], ...]:
+    """For each member mask of a width-w ring: leftover masks reachable by
+    matching some members along in-row ring edges (wrap included)."""
+    full = (1 << w) - 1
+
+    @functools.lru_cache(maxsize=None)
+    def rec(mask: int) -> frozenset[int]:
+        if not mask:
+            return frozenset((0,))
+        j = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << j)
+        out = set(l | (1 << j) for l in rec(rest))
+        for k in ((j - 1) % w, (j + 1) % w):
+            if k != j and rest >> k & 1:
+                out |= rec(rest ^ (1 << k))
+        return frozenset(out)
+
+    return tuple(tuple(sorted(rec(mask))) for mask in range(full + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _row_tables(width: int, kind: DominationKind) -> tuple[tuple, ...]:
+    """The row sweep's transition tables for one ring width and kind, from
+    which `_row_moves` builds its move table and `_row_seeds` its seeds.
+
+    need[c]: the vertices of a row with members c that no member of that
+    row dominates; pop[c]: the members of c; supersets[u]: every row
+    membership containing u, fewest members first; leftovers[c]: the
+    unmatched masks a row's fresh members c may leave (always (0,) unless
+    paired).
+    """
+    full = (1 << width) - 1
+    total = kind is DominationKind.TOTAL
+    ring = [(c << 1 | c >> 1 | c << width - 1 | c >> width - 1) & full for c in range(full + 1)]
+    need = tuple((full if total else full & ~c) & ~ring[c] for c in range(full + 1))
+    pop = tuple(c.bit_count() for c in range(full + 1))
+    supersets = tuple(
+        tuple(sorted((u | s for s in _subsets(full & ~u)), key=pop.__getitem__))
+        for u in range(full + 1)
+    )
+    leftovers = _cycle_leftovers(width) if kind is DominationKind.PAIRED else ((0,),) * (full + 1)
+    return need, pop, supersets, leftovers
+
+
+@functools.lru_cache(maxsize=None)
+def _row_moves(width: int, kind: DominationKind) -> tuple[tuple, tuple]:
+    """The row sweep's states, numbered once, and its one move table.
+
+    states: every (membership c, pending u, unmatched w) with u a submask
+    of need[c] and w a submask of c (0 unless paired), in ascending tuple
+    order, which holds every state a transition can reach.  moves[i]: the
+    (members of the next row, mask of the numbers of the next states with
+    that many members) pairs of state i, fewest members first.
+    """
+    need, pop, supersets, leftovers = _row_tables(width, kind)
+    states = tuple(
+        (c, u, w)
+        for c in range(len(need))
+        for u in _subsets(need[c])
+        for w in (_subsets(c) if kind is DominationKind.PAIRED else (0,))
+    )
+    # state (c, u, w) is numbered first[(c, u)] plus the rank of w among the
+    # submasks of c, so spots[c][x] marks the states of leftovers[x] by rank
+    first: dict[tuple[int, int], int] = {}
+    for i, (c, u, _) in enumerate(states):
+        first.setdefault((c, u), i)
+    ranks = [{w: r for r, w in enumerate(_subsets(c))} for c in range(len(need))]
+    spots = [{x: sum(1 << rank[w] for w in leftovers[x]) for x in rank} for rank in ranks]
+    moves = []
+    for c, u, w in states:
+        groups: dict[int, int] = {}
+        for c2 in supersets[u | w]:
+            bits = spots[c2][c2 & ~w] << first[(c2, need[c2] & ~c)]
+            groups[pop[c2]] = groups.get(pop[c2], 0) | bits
+        moves.append(tuple(groups.items()))
+    return states, tuple(moves)
+
+
+@functools.lru_cache(maxsize=None)
+def _row_within(width: int, kind: DominationKind, k: int) -> tuple[tuple[int, ...], int]:
+    """(within[k], floor): within[k][r] is the mask of the row-sweep state
+    numbers (`_row_moves`) whose least cost of k more rows, with the
+    wraparound closure ignored, is at most r, for r = 0..width*k since k
+    full rows always extend, and floor is the least r with a state.  One
+    backward min-plus step from within[k - 1] over the kernel's move table.
+    """
+    moves = _row_moves(width, kind)[1]
+    if not k:
+        return ((1 << len(moves)) - 1,), 0
+    prev, floor = _row_within(width, kind, k - 1)
+    levels = [0] * (width * k + 1)
+    for i, row in enumerate(moves):
+        least = width * k
+        for step, mask in row:
+            if step + floor >= least:
+                break
+            r = floor
+            while step + r < least and not mask & prev[r]:
+                r += 1
+            least = min(least, step + r)
+        levels[least] |= 1 << i
+    within = tuple(itertools.accumulate(levels, int.__or__))
+    return within, next(r for r, mask in enumerate(within) if mask)
+
+
+@functools.lru_cache(maxsize=None)
+def _row_seeds(width: int, kind: DominationKind, cap: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The row sweep's seeds (c1, u1, x1, w1) with at most `cap` first-row
+    members, in lexicographic order, each least in its orbit (`_row_sweep`)."""
+    need, pop, _, leftovers = _row_tables(width, kind)
+    images = _ring_images(width)
+    return tuple(
+        (c1, u1, x1, w1)
+        for c1 in range(1 << width) if pop[c1] <= cap
+        for u1 in _subsets(need[c1])
+        for x1 in (_subsets(c1) if kind is DominationKind.PAIRED else (0,))
+        for w1 in leftovers[c1 & ~x1]
+        if all((im[c1], im[u1], im[x1], im[w1]) >= (c1, u1, x1, w1) for im in images)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _closing(width: int, kind: DominationKind, c1: int, r1: int, x1: int) -> int:
+    """The mask of the row-sweep states that close with a seed's first row
+    (members c1, needs r1 left to the last row, partners x1 claimed from
+    it): their pending needs met by c1, r1 by their members, x1 unmatched."""
+    states = _row_moves(width, kind)[0]
+    return sum(1 << j for j, (c, u, w) in enumerate(states) if not u & ~c1 and not r1 & ~c and w == x1)
+
+
+def _row_sweep(n: int, m: int, kind: DominationKind, bound: int) -> Optional[tuple[int, VertexSet]]:
+    """(value, set) of the least plain, total or paired set of at most
+    `bound` members on n x m, via a cyclic row-sweep DP, or None when no
+    set fits the bound.  The set is on the n x m grid; the sweep runs
+    along the longer side.
+
+    The state after each row is (membership mask, mask of that row's
+    vertices still needing a dominator from the next row, mask of members
+    still awaiting a partner from the same rung of the next row).  Fresh
+    paired members may also pair along their own row's ring edges; plain
+    and paired members need no outside dominator, and for plain and total
+    sets the unmatched mask stays 0.  Wraparound is closed by boundary
+    seeds: the first row's membership, a guess of which of its needs the
+    second row meets (the last row must meet the rest), and for paired
+    sets the first-row members the last row claims as partners.  Some
+    rotation of any set within the bound has at most floor(bound / rows)
+    members in its first row, so seeds are capped there.  The caller
+    chooses the bound (a witness's size, or nm/4 for an efficient set),
+    keeps the width within its cap and checks the set it gets back.
+
+    What depends only on the width and kind is built once per process: the
+    states, numbered in ascending tuple order, with one move table
+    (`_row_moves`), each level of the backward bound (`_row_within`), the
+    seeds under each cap (`_row_seeds`) and each seed's closing mask
+    (`_closing`).  A layer maps each cost, ascending, to the mask of the
+    states whose least cost it is: one OR moves every next state a state
+    reaches with the same number of members.  The last layer holds only
+    states that close with the seed.  No back-pointers are kept: a state
+    at cost d with p members follows the least state number at cost d - p
+    in the layer before that reaches it.
+
+    Three prunes leave every value and certificate as they would be
+    without them.  Seeds run in lexicographic order, and the best set
+    changes only on a strict improvement, so the certificate comes from
+    the first seed s* that reaches the optimum.
+
+    * Symmetry: a seed is run only if it is the least of its orbit under
+      the ring's w rotations and w reflections, applied to all four seed
+      masks at once.  Each such map, applied to every row, is a torus
+      automorphism, so every image of s* reaches the optimum too, and s*
+      is kept.
+    * Incumbent: the bound starts at `bound` and becomes one less than
+      each best set found.
+    * Lower bound: a state with k rows after it is dropped when its cost
+      plus its least cost of k more rows (`_row_within`, closure ignored)
+      exceeds the bound, one AND per level.  Moves are tried with the
+      fewest members first, so a move that the least such cost of the
+      next layer already rules out ends the loop.
+
+    Why the certificate cannot move: call a state's cost without these
+    prunes d.  A state with d + lb <= bound is kept at cost d, and so is
+    each predecessor at cost d - p, whose lb is at most p + lb of the
+    state; so the least of them is the same.  Each state on a closing path
+    of s* at the optimum has d + lb <= optimum <= bound, since every seed
+    before s* found more than the optimum, and its last state closes, so
+    it is kept; a seed's least closing cost, and its least state there,
+    are found exactly when that cost is within the bound, so the bound
+    moves as it would without the prunes.
+    """
+    length, width, transposed = _orient(n, m)
+    need, pop = _row_tables(width, kind)[:2]
+    states, moves = _row_moves(width, kind)
+    bounds = [_row_within(width, kind, k) for k in range(length - 1)]
+    best: Optional[tuple[int, list[int]]] = None
+    for c1, u1, x1, w1 in _row_seeds(width, kind, bound // length):
+        closing = _closing(width, kind, c1, need[c1] & ~u1, x1)
+        layers = [{pop[c1]: 1 << bisect.bisect_left(states, (c1, u1, w1))}]
+        for k in range(length - 2, -1, -1):  # k rows after the next one
+            within, floor = bounds[k]
+            room = bound - floor
+            reached = [0] * (room + 1)
+            for cost, mask in layers[-1].items():
+                for i in set_slots(mask):
+                    for members, nexts in moves[i]:
+                        if cost + members > room:
+                            break
+                        reached[cost + members] |= nexts
+            layer = {}
+            seen = 0
+            for cost, nexts in enumerate(reached):
+                fresh = nexts & ~seen
+                seen |= nexts
+                fresh &= within[min(bound - cost, len(within) - 1)] if k else closing
+                if fresh:
+                    layer[cost] = fresh
+            layers.append(layer)
+        if layer:
+            bound = at = min(layer)
+            cur = set_slots(layer[at])[0]
+            rows = [states[cur][0]]
+            for layer in layers[-2::-1]:
+                members = pop[rows[-1]]
+                at -= members
+                cur = next(i for i in set_slots(layer[at]) if dict(moves[i]).get(members, 0) >> cur & 1)
+                rows.append(states[cur][0])
+            best = (bound, rows[::-1])
+            bound -= 1
+
+    if best is None:
+        return None
+    value, rows = best
+    return value, _rows_to_set(rows, length, width, transposed)

@@ -117,9 +117,10 @@ class VertexSet:
 
     @classmethod
     def from_slots(cls, dims: TorusDims, slots: Iterable[int]) -> "VertexSet":
-        bits = bytearray(b"0") * dims.order  # bit s at index -1 - s
+        order = dims.order
+        bits = bytearray(b"0") * order  # bit s at index -1 - s
         for s in slots:
-            if not (0 <= s < dims.order):
+            if not (0 <= s < order):
                 raise OutOfRangeError(f"slot {s} outside grid")
             bits[-1 - s] = ord("1")
         return cls(dims, int(bits, 2))
@@ -138,15 +139,6 @@ class VertexSet:
         m = self.dims.m
         for s in set_slots(self.mask):
             yield VertexId(s // m + 1, s % m + 1)
-
-    def add(self, i: int, j: int) -> "VertexSet":
-        return VertexSet(self.dims, self.mask | 1 << self.dims.slot(VertexId(i, j)))
-
-    def remove(self, i: int, j: int) -> "VertexSet":
-        slot = self.dims.slot(VertexId(i, j))
-        if not self.mask >> slot & 1:
-            raise InvalidInputError(f"vertex ({i}, {j}) not in set")
-        return VertexSet(self.dims, self.mask ^ 1 << slot)
 
     def rotated(self, di: int, dj: int) -> "VertexSet":
         """Shift every vertex by (di, dj) with wraparound."""
@@ -177,12 +169,8 @@ class TorusGraph:
 
     It keeps no table per slot: `around` computes one slot's neighbours
     by slot arithmetic, and `neighbourhood` a whole set's by four shifts
-    of its mask, so a cached graph costs O(nm) bits.
-    ``nbr_masks[s]``, the neighbours of slot ``s`` as a bitmask, is built
-    lazily on first use, because it costs memory quadratic in the order
-    and only the exact engines on small grids read it.  Instances are
-    built once per dimension pair and cached, so they must never be
-    mutated.
+    of its mask, so a cached graph costs O(nm) bits.  Instances are built
+    once per dimension pair and cached, so they must never be mutated.
     """
 
     def __init__(self, dims: TorusDims):
@@ -207,13 +195,6 @@ class TorusGraph:
         if s >= order - m:
             return s + m - order, s - m, a, b
         return s - m, a, b, s + m
-
-    @functools.cached_property
-    def nbr_masks(self) -> tuple[int, ...]:
-        return tuple(
-            1 << a | 1 << b | 1 << c | 1 << d
-            for a, b, c, d in map(self.around, range(self.dims.order))
-        )
 
     def neighbourhood(self, mask: int) -> int:
         """The slots with a neighbour in the mask: the ring of slots rotated
@@ -241,19 +222,11 @@ class TorusGraph:
         return [(s, t) for s in range(self.dims.order) for t in self.around(s) if s < t]
 
 
-# Unbounded on purpose: a graph holds O(nm) bits and no per-slot table
-# (`nbr_masks` is built only on the small grids the exact engines take),
+# Unbounded on purpose: a graph holds O(nm) bits and no per-slot table,
 # so even the cascade's every intermediate torus stays small.
 @functools.lru_cache(maxsize=None)
 def make_torus(n: int, m: int) -> TorusGraph:
     return TorusGraph(TorusDims(n, m))
-
-
-def column(dims: TorusDims, i: int) -> VertexSet:
-    """Row ``i`` of the grid (all vertices with first coordinate ``i``)."""
-    if not (1 <= i <= dims.n):
-        raise OutOfRangeError(f"row {i} outside 1..{dims.n}")
-    return VertexSet.from_vertices(dims, ((i, j) for j in range(1, dims.m + 1)))
 
 
 def excise_block(g: TorusGraph, block: BlockRange) -> tuple[TorusGraph, dict[int, int]]:

@@ -15,8 +15,10 @@ import pytest
 from torusdom.certificates import Certificate, ResultCache, load_certificate
 from torusdom.cli import build_parser, main
 from torusdom.errors import ConstructionInvalidError
-from torusdom.solve import solve, solve_oracle
+from torusdom.solve import find_efficient_tds, solve, solve_oracle
 from torusdom.validate import DominationKind
+
+validate_module = importlib.import_module("torusdom.validate")
 
 PLAIN = DominationKind.PLAIN
 TOTAL = DominationKind.TOTAL
@@ -175,6 +177,28 @@ def test_verify_prints_no_profile_without_a_side_of_3(capsys):
     out = capsys.readouterr().out
     assert "column profile" not in out
     assert out.endswith("claimed total: VERIFIED\n")
+
+
+def test_verify_counts_the_multiplicity_once(monkeypatch, tmp_path, capsys):
+    efficient = tmp_path / "efficient.json"
+    Certificate.from_vertex_set(find_efficient_tds(8, 8), TOTAL, "handmade").save(efficient)
+    counted = []
+    real = validate_module.domination_multiplicity
+
+    def counting(g, d):
+        counted.append(g.dims)
+        return real(g, d)
+
+    for module in (validate_module, importlib.import_module("torusdom.cli")):
+        monkeypatch.setattr(module, "domination_multiplicity", counting)
+    path = Path(__file__).resolve().parents[1] / "bench" / "data" / "certs" / "61x61-total.json"
+    assert main(["verify", str(path)]) == 0
+    assert "  efficient-total: no\n" in capsys.readouterr().out
+    assert len(counted) == 1
+    # an efficient set still gets the full check, which counts again
+    assert main(["verify", str(efficient)]) == 0
+    assert "  efficient-total: yes\n" in capsys.readouterr().out
+    assert len(counted) == 3
 
 
 def test_verify_detects_tampered_cardinality(tmp_path, capsys):

@@ -16,7 +16,6 @@ from torusdom.construct import (
     construct_m3,
     construct_m4,
     construct_mod4,
-    normalize_columns_m3,
     project_column,
 )
 from torusdom.errors import (
@@ -236,32 +235,6 @@ def test_bound_pattern_cascade_bound_sweep():
                     continue
                 quota = 4 * ((n + 3) // 4) * ((m + 3) // 4)
                 assert res.claimed_cardinality <= quota
-
-
-def test_normalize_collapses_full_rows():
-    g = make_torus(5, 3)
-    d = VertexSet.from_vertices(
-        g.dims, [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (4, 3)]
-    )
-    norm = normalize_columns_m3(g, d)
-    assert norm.pairs() == [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2)]
-    assert len(norm) <= len(d)
-
-
-def test_normalize_leaves_capped_sets_alone():
-    g = make_torus(7, 3)
-    d = construct_m3(7, TOTAL).vertex_set
-    assert normalize_columns_m3(g, d) == d
-
-
-def test_normalize_input_checks():
-    g = make_torus(5, 3)
-    with pytest.raises(InvalidInputError):
-        normalize_columns_m3(g, VertexSet(g.dims))
-    g4 = make_torus(5, 4)
-    d4 = construct_m4(5).vertex_set
-    with pytest.raises(InvalidInputError):
-        normalize_columns_m3(g4, d4)
 
 
 def test_projection_moves_last_row_inward():

@@ -1,11 +1,15 @@
 import importlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from torusdom import rowsweep
 from torusdom.errors import CertificateError, InstanceTooLargeError, InvalidInputError
 from torusdom.formulas import (
     gamma_p_m3,
@@ -256,20 +260,21 @@ def test_dp_certificates_match_recorded():
         assert (res.value, hex(res.certificate.mask)) == (value, mask), (n, m, kind)
 
 
-def _clear_row_sweep_setup(module):
+def _clear_row_sweep_setup():
     """Empty the caches that carry the row sweep's setup from call to call."""
-    for cached in (module._ring_images, module._row_within, module._row_seeds, module._closing):
+    for cached in (
+        rowsweep._ring_images, rowsweep._row_within, rowsweep._row_seeds, rowsweep._closing
+    ):
         cached.cache_clear()
 
 
 def test_dp_certificates_do_not_depend_on_call_order():
     # the row sweep's bounds, seeds and closing masks outlive a call, so
     # solve the recorded entries from cold caches in the reverse order
-    module = importlib.import_module("torusdom.solve")
     path = Path(__file__).parent / "data" / "dp_certificates.json"
     entries = json.loads(path.read_text())
     assert len(entries) == 126
-    _clear_row_sweep_setup(module)
+    _clear_row_sweep_setup()
     for n, m, kind, value, mask in reversed(entries):
         kind = DominationKind(kind)
         res = solve_paired_dp(n, m) if kind is PAIRED else solve_profile_dp(n, m, kind)
@@ -307,7 +312,7 @@ def _fewest_pairs(g, uncovered):
     """The fewest disjoint edges of g that dominate every vertex of
     `uncovered`, by iterative deepening over the edges that dominate its
     lowest vertex."""
-    closed = [g.nbr_masks[s] | 1 << s for s in range(g.dims.order)]
+    closed = [sum(1 << t for t in g.around(s)) | 1 << s for s in range(g.dims.order)]
     edges = [(1 << a | 1 << b, closed[a] | closed[b]) for a, b in g.edges()]
 
     def fits(rest, used, k):
@@ -423,11 +428,10 @@ def _least_extension(width, kind, state, k, budget):
 @pytest.mark.parametrize("kind", [PLAIN, TOTAL, PAIRED])
 @pytest.mark.parametrize("width", [3, 4, 5])
 def test_row_bounds_are_admissible_and_tight(width, kind):
-    module = importlib.import_module("torusdom.solve")
-    states = module._row_moves(width, kind)[0]
-    within = module._row_bounds(width, kind, 3)
+    states = rowsweep._row_moves(width, kind)[0]
+    within = [rowsweep._row_within(width, kind, k)[0] for k in range(4)]
     everything = (1 << len(states)) - 1
-    assert within[0] == [everything]
+    assert within[0] == (everything,)
     for k in (1, 2, 3):
         # within[k][r]: the states whose bound is at most r, up to k full rows
         assert len(within[k]) == width * k + 1 and within[k][-1] == everything
@@ -440,17 +444,14 @@ def test_row_bounds_are_admissible_and_tight(width, kind):
 @pytest.mark.parametrize("kind", [PLAIN, TOTAL, PAIRED])
 @pytest.mark.parametrize("width", [3, 4, 5, 6])
 def test_row_bounds_read_short_after_long_equal_a_fresh_build(width, kind):
-    module = importlib.import_module("torusdom.solve")
-    _clear_row_sweep_setup(module)
-    module._row_bounds(width, kind, 9)
-    short = module._row_bounds(width, kind, 4)
-    _clear_row_sweep_setup(module)
-    fresh = module._row_bounds(width, kind, 4)
-    assert len(short) == len(fresh) == 5
-    for k, (cached, built) in enumerate(zip(short, fresh)):
-        assert cached == built, k
+    _clear_row_sweep_setup()
+    rowsweep._row_within(width, kind, 9)
+    short = [rowsweep._row_within(width, kind, k) for k in range(5)]
+    _clear_row_sweep_setup()
+    fresh = [rowsweep._row_within(width, kind, k) for k in range(5)]
+    for k, (cached, (built, floor)) in enumerate(zip(short, fresh)):
+        assert cached == (built, floor), k
         # the floor kept beside each level is its least nonempty bound
-        floor = module._row_within(width, kind, k)[1]
         assert floor == next(r for r, mask in enumerate(built) if mask), k
 
 
@@ -459,9 +460,8 @@ def test_row_bounds_read_short_after_long_equal_a_fresh_build(width, kind):
     [(w, kind) for w in (3, 4, 5, 6) for kind in (PLAIN, TOTAL)] + [(w, PAIRED) for w in (3, 4, 5)],
 )
 def test_row_moves_match_the_row_tables(width, kind):
-    module = importlib.import_module("torusdom.solve")
-    need, pop, supersets, leftovers = module._row_tables(width, kind)
-    states, moves = module._row_moves(width, kind)
+    need, pop, supersets, leftovers = rowsweep._row_tables(width, kind)
+    states, moves = rowsweep._row_moves(width, kind)
     full = (1 << width) - 1
     everything = [
         (c, u, w)
@@ -494,18 +494,17 @@ def _reference_sweep(n, m, kind, bound):
     or None: every seed under the same cap, in the same order, each state
     at its least cost with the least predecessor in number order, and the
     best set replaced only by a strictly smaller one within the bound."""
-    module = importlib.import_module("torusdom.solve")
-    length, width, transposed = module._orient(n, m)
-    need, pop, supersets, leftovers = module._row_tables(width, kind)
-    states = module._row_moves(width, kind)[0]
+    length, width, transposed = rowsweep._orient(n, m)
+    need, pop, supersets, leftovers = rowsweep._row_tables(width, kind)
+    states = rowsweep._row_moves(width, kind)[0]
     number = {state: i for i, state in enumerate(states)}
     best = None
     cap = bound // length  # members of the first row, fixed by the first bound
     for c1 in range(1 << width):
         if pop[c1] > cap:
             continue
-        for u1 in module._subsets(need[c1]):
-            for x1 in module._subsets(c1) if kind is PAIRED else (0,):
+        for u1 in rowsweep._subsets(need[c1]):
+            for x1 in rowsweep._subsets(c1) if kind is PAIRED else (0,):
                 for w1 in leftovers[c1 & ~x1]:
                     layers = [{number[(c1, u1, w1)]: (pop[c1], None)}]
                     for _ in range(length - 1):
@@ -531,7 +530,7 @@ def _reference_sweep(n, m, kind, bound):
                     for layer in layers[::-1]:
                         rows.append(states[cur][0])
                         cur = layer[cur][1]
-                    best = (cost, module._rows_to_set(rows[::-1], length, width, transposed).mask)
+                    best = (cost, rowsweep._rows_to_set(rows[::-1], length, width, transposed).mask)
                     bound = cost - 1
     return best
 
@@ -539,15 +538,29 @@ def _reference_sweep(n, m, kind, bound):
 @pytest.mark.parametrize("kind", [PLAIN, TOTAL, PAIRED])
 @pytest.mark.parametrize("width", [3, 4, 5])
 def test_row_sweep_matches_a_prune_free_sweep(width, kind):
-    module = importlib.import_module("torusdom.solve")
+    solve_module = importlib.import_module("torusdom.solve")
     longest = 10 if width < 5 else 8 if kind is not PAIRED else 6
     for length in range(width, longest + 1):
         n, m = (length, width) if length % 2 else (width, length)
-        bound = len(module._witness_upper(n, m, kind))
-        found = module._row_sweep(n, m, kind, bound, 0.0)
-        assert (found.value, found.certificate.mask) == _reference_sweep(n, m, kind, bound), (n, m)
-        assert module._row_sweep(n, m, kind, found.value - 1, 0.0) is None
-        assert _reference_sweep(n, m, kind, found.value - 1) is None
+        bound = len(solve_module._witness_upper(n, m, kind))
+        value, found = rowsweep._row_sweep(n, m, kind, bound)
+        assert satisfies(make_torus(n, m), found, kind), (n, m)
+        assert (value, found.mask) == _reference_sweep(n, m, kind, bound), (n, m)
+        assert rowsweep._row_sweep(n, m, kind, value - 1) is None
+        assert _reference_sweep(n, m, kind, value - 1) is None
+
+
+def test_row_sweep_imports_neither_solve_nor_construct():
+    # the kernel sits below both, so construct can use its move table
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = (
+        "import sys, torusdom.rowsweep; "
+        "print(sorted({'torusdom.solve', 'torusdom.construct'} & sys.modules.keys()))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_dp_rejects_invalid_certificate(monkeypatch):
