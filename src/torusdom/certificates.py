@@ -9,9 +9,16 @@ rather than silently accepted; `Certificate.vertex_set` is the one
 structural gate (vertices on the grid, distinct, in slot order, as many
 as claimed), so each set has exactly one accepted byte form and digest.
 
-The cache is one JSON file mapping "NxM:kind:method" to the computed
-value plus the certificate digest and the tool version; entries from
-other versions are ignored on load and rewritten on store.
+The cache is one JSON file, `results.json`, mapping "NxM:kind:method"
+to the computed value plus the certificate digest and the tool version;
+entries from other versions are ignored on load and rewritten on store.
+Each certificate is kept beside it by content, as `<digest>.json`,
+written before its entry.  `solve` answers from the cache only when
+`ResultCache.certificate` accepts the stored file: its bytes hash to
+the entry's digest, it parses (canonical form), it names the requested
+grid and kind, holds as many vertices as the stored value, credits a
+solver, and passes `Certificate.check`.  Anything else is a miss, and
+the request is solved as if nothing were cached.
 """
 
 from __future__ import annotations
@@ -20,12 +27,13 @@ import fcntl
 import hashlib
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Collection, Optional
 
-from .errors import CertificateError, InvalidDimensionsError
+from .errors import CertificateError, InstanceTooLargeError, InvalidDimensionsError
 from .torus import TorusDims, VertexSet, make_torus
 from .validate import DominationKind, satisfies
 
@@ -165,8 +173,25 @@ def default_cache_dir() -> Path:
     return root / "torusdom"
 
 
+def _replace(path: Path, text: str) -> None:
+    """Write `text` to `path` through a temporary sibling and `os.replace`,
+    so a reader sees the old file or the new one, never a part."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class ResultCache:
-    """Single-file store of solved values keyed by instance and method."""
+    """Single-file store of solved values keyed by instance and method,
+    with each value's certificate stored by content beside it."""
 
     def __init__(self, directory: Optional[Path | str] = None):
         self.directory = Path(directory) if directory is not None else default_cache_dir()
@@ -200,6 +225,48 @@ class ResultCache:
             return None
         return entry["value"], entry["digest"]
 
+    def certificate(
+        self,
+        n: int,
+        m: int,
+        kind: DominationKind,
+        value: int,
+        digest: str,
+        provenances: Collection[str],
+    ) -> Optional[Certificate]:
+        """The certificate stored as `<digest>.json`, when it answers an
+        entry of `value` for n x m and kind: its bytes hash to `digest`, it
+        is in canonical form, it names n, m and kind, its cardinality is
+        `value`, its provenance is one of `provenances`, and it passes
+        `Certificate.check`.  None otherwise."""
+        if not re.fullmatch("[0-9a-f]{64}", digest):
+            return None
+        try:
+            data = (self.directory / f"{digest}.json").read_bytes()
+        except OSError:
+            return None
+        if hashlib.sha256(data).hexdigest() != digest:
+            return None
+        try:
+            cert = Certificate.from_json(data.decode())
+            if (
+                (cert.n, cert.m, cert.kind, cert.cardinality) != (n, m, kind, value)
+                or cert.provenance not in provenances
+            ):
+                return None
+            cert.check()
+        except (UnicodeDecodeError, CertificateError, InstanceTooLargeError):
+            return None
+        return cert
+
+    def store(self, cert: Certificate) -> str:
+        """Write `cert` as `<digest>.json` and return its digest."""
+        text = cert.to_json()
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        self.directory.mkdir(parents=True, exist_ok=True)
+        _replace(self.directory / f"{digest}.json", text)
+        return digest
+
     def put(self, n: int, m: int, kind: DominationKind, method: str, value: int, digest: str) -> None:
         """Store one entry.  An exclusive lock on a sibling file spans the
         whole read-modify-write, so concurrent writers lose no entries."""
@@ -212,15 +279,4 @@ class ResultCache:
                 "digest": digest,
                 "version": TOOL_VERSION,
             }
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(entries, handle, indent=2, sort_keys=True)
-                    handle.write("\n")
-                os.replace(tmp, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            _replace(self.path, json.dumps(entries, indent=2, sort_keys=True) + "\n")

@@ -2,7 +2,8 @@
 
 Subcommands: value (closed forms and bound intervals), construct (emit a
 pattern certificate), verify (re-validate a certificate file), solve
-(exact computation with certificate output and result caching), table
+(exact computation with certificate output, answered from the result
+cache when a stored certificate passes its checks), table
 (sweep a rectangle of instances to CSV or JSON) and audit (end-to-end
 cross-checks for one instance).  One table, `_COMMANDS`, holds each
 subcommand's help line, arguments and handler; an invocation builds only
@@ -20,6 +21,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 from typing import Optional
@@ -37,7 +39,7 @@ from .errors import (
     UnsupportedClassError,
 )
 from .formulas import known_value, upper_bounds
-from .solve import canonical, solve, solve_within_reach
+from .solve import SolveMethod, canonical, solve, solve_within_reach
 from .torus import make_torus
 from .validate import (
     DominationKind,
@@ -51,6 +53,9 @@ _KINDS = {
     "total": DominationKind.TOTAL,
     "paired": DominationKind.PAIRED,
 }
+
+# the provenance of every certificate an engine builds
+_SOLVER_PROVENANCES = frozenset(f"solver:{method.value}" for method in SolveMethod)
 
 _GAMMA = {
     DominationKind.PLAIN: "gamma",
@@ -149,26 +154,38 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     kind = _kind(args)
-    res = solve(args.n, args.m, kind, args.method)
-    emitted = canonical(res) if args.canonical else res
-    cert = Certificate.from_vertex_set(emitted.certificate, kind, f"solver:{emitted.method.value}")
-    cert.check()
+    t0 = time.perf_counter()
     cache = ResultCache(args.cache_dir)
     prior = cache.get(args.n, args.m, kind, args.method)
-    if prior is not None and prior[0] != res.value:
-        print(
-            f"cache mismatch: stored value {prior[0]} != computed {res.value}",
-            file=sys.stderr,
-        )
-        return 1
+    # --canonical reads no stored certificate and stores none: the set it
+    # emits may credit another engine than the one its value line names
+    hit = None
+    if prior is not None and not args.canonical:
+        hit = cache.certificate(args.n, args.m, kind, *prior, _SOLVER_PROVENANCES)
+    if hit is not None:
+        cert = hit
+        value, method = cert.cardinality, cert.provenance.removeprefix("solver:")
+        elapsed = time.perf_counter() - t0
+    else:
+        res = solve(args.n, args.m, kind, args.method)
+        emitted = canonical(res) if args.canonical else res
+        cert = Certificate.from_vertex_set(emitted.certificate, kind, f"solver:{emitted.method.value}")
+        cert.check()
+        if prior is not None and prior[0] != res.value:
+            print(
+                f"cache mismatch: stored value {prior[0]} != computed {res.value}",
+                file=sys.stderr,
+            )
+            return 1
+        value, method, elapsed = res.value, res.method.value, res.elapsed
     if args.out:
         cert.save(args.out)
-    digest = cert.digest()
-    cache.put(args.n, args.m, kind, args.method, res.value, digest)
-    print(
-        f"{_GAMMA[kind]}({args.n},{args.m}) = {res.value} "
-        f"[method {res.method.value}, {res.elapsed:.3f}s]"
-    )
+    if hit is None and not args.canonical:
+        digest = cache.store(cert)
+        cache.put(args.n, args.m, kind, args.method, value, digest)
+    else:
+        digest = cert.digest()
+    print(f"{_GAMMA[kind]}({args.n},{args.m}) = {value} [method {method}, {elapsed:.3f}s]")
     print(f"  certificate digest {digest}")
     if args.out:
         print(f"  wrote {args.out}")
@@ -274,7 +291,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
             cert = Certificate.from_vertex_set(
                 res.certificate, kind, f"solver:{res.method.value}"
             )
-            cache.put(n, m, kind, "auto", value, cert.digest())
+            cache.put(n, m, kind, "auto", value, cache.store(cert))
 
     chain = (DominationKind.PLAIN, DominationKind.TOTAL, DominationKind.PAIRED)
     for low, high in zip(chain, chain[1:]):

@@ -6,11 +6,13 @@ wraparound closed by boundary seeds.  Its setup is built once per width
 and kind and kept for the process: numbered states, one move table (next
 states as a mask per member count, for the sweep and its bound alike),
 each level of the bound, the ring's images, the seeds and their closing
-masks.  A layer is a mask per cost, so one OR moves a group of states.
-Three prunes leave its values and certificates unchanged: one seed per
-orbit of the width ring's rotations and reflections, costs bounded by
-the best set found so far, and a backward lower bound on the cost of the
-rows still to come.
+masks.  A finished sweep is kept too, keyed by its oriented grid, kind
+and bound, so n x m and m x n cost one sweep per process.  A layer is a
+mask per cost, so one OR moves a group of states.  Three prunes leave
+its values and certificates unchanged: one seed per orbit of the width
+ring's rotations and reflections, costs bounded by the best set found
+so far, and a backward lower bound on the cost of the rows still to
+come.
 
 This module is the kernel only: `_row_sweep` returns a value and a set,
 and `solve` checks the set and decides when the sweep runs.  It imports
@@ -45,7 +47,7 @@ def _subsets(mask: int) -> list[int]:
     return out
 
 
-def _rows_to_set(rows: list[int], length: int, width: int, transposed: bool) -> VertexSet:
+def _rows_to_set(rows: tuple[int, ...], length: int, width: int, transposed: bool) -> VertexSet:
     """The set with member mask rows[i - 1] on row i, in the caller's orientation."""
     found = VertexSet(TorusDims(length, width), sum(c << i * width for i, c in enumerate(rows)))
     return found.transposed() if transposed else found
@@ -170,7 +172,7 @@ def _row_within(width: int, kind: DominationKind, k: int) -> tuple[tuple[int, ..
 @functools.lru_cache(maxsize=None)
 def _row_seeds(width: int, kind: DominationKind, cap: int) -> tuple[tuple[int, int, int, int], ...]:
     """The row sweep's seeds (c1, u1, x1, w1) with at most `cap` first-row
-    members, in lexicographic order, each least in its orbit (`_row_sweep`)."""
+    members, in lexicographic order, each least in its orbit (`_sweep`)."""
     need, pop, _, leftovers = _row_tables(width, kind)
     images = _ring_images(width)
     return tuple(
@@ -194,9 +196,24 @@ def _closing(width: int, kind: DominationKind, c1: int, r1: int, x1: int) -> int
 
 def _row_sweep(n: int, m: int, kind: DominationKind, bound: int) -> Optional[tuple[int, VertexSet]]:
     """(value, set) of the least plain, total or paired set of at most
-    `bound` members on n x m, via a cyclic row-sweep DP, or None when no
-    set fits the bound.  The set is on the n x m grid; the sweep runs
-    along the longer side.
+    `bound` members on n x m, via a cyclic row-sweep DP (`_sweep`), or
+    None when no set fits the bound.  The set is on the n x m grid; the
+    sweep runs along the longer side, so n x m and m x n share one sweep
+    and get the same set, transposed."""
+    length, width, transposed = _orient(n, m)
+    found = _sweep(length, width, kind, bound)
+    if found is None:
+        return None
+    value, rows = found
+    return value, _rows_to_set(rows, length, width, transposed)
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep(length: int, width: int, kind: DominationKind, bound: int) -> Optional[tuple[int, tuple[int, ...]]]:
+    """(value, member mask of each row) of the least set of at most
+    `bound` members on the length x width grid (width <= length), or None.
+    The sweep is a function of its four arguments alone, so a finished
+    sweep is kept for the process.
 
     The state after each row is (membership mask, mask of that row's
     vertices still needing a dominator from the next row, mask of members
@@ -251,7 +268,6 @@ def _row_sweep(n: int, m: int, kind: DominationKind, bound: int) -> Optional[tup
     are found exactly when that cost is within the bound, so the bound
     moves as it would without the prunes.
     """
-    length, width, transposed = _orient(n, m)
     need, pop = _row_tables(width, kind)[:2]
     states, moves = _row_moves(width, kind)
     bounds = [_row_within(width, kind, k) for k in range(length - 1)]
@@ -293,4 +309,4 @@ def _row_sweep(n: int, m: int, kind: DominationKind, bound: int) -> Optional[tup
     if best is None:
         return None
     value, rows = best
-    return value, _rows_to_set(rows, length, width, transposed)
+    return value, tuple(rows)

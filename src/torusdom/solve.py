@@ -458,6 +458,8 @@ def canonical(res: SolveResult) -> SolveResult:
         return res
     if dims.order <= ORACLE_CAP:
         return solve_oracle(dims.n, dims.m, res.kind)
-    rotations = (res.certificate.rotated(di, dj) for di in range(dims.n) for dj in range(dims.m))
-    least = min(rotations, key=lambda d: [s for s in range(dims.order) if d.mask >> s & 1])
+    # every least slot list starts at slot 0, so only the rotations that
+    # take a member there compete
+    rotations = (res.certificate.rotated(1 - v.i, 1 - v.j) for v in res.certificate)
+    least = min(rotations, key=lambda d: set_slots(d.mask))
     return replace(res, certificate=least)

@@ -141,10 +141,17 @@ class VertexSet:
             yield VertexId(s // m + 1, s % m + 1)
 
     def rotated(self, di: int, dj: int) -> "VertexSet":
-        """Shift every vertex by (di, dj) with wraparound."""
-        return VertexSet.from_vertices(
-            self.dims, (tuple(self.dims.wrap(v.i + di, v.j + dj)) for v in self)
-        )
+        """Shift every vertex by (di, dj) with wraparound: the rows move by
+        whole blocks of m bits, and in every row the columns that would pass
+        the last one wrap round to the first."""
+        n, m = self.dims.n, self.dims.m
+        order = n * m
+        full = (1 << order) - 1
+        r, c = di % n * m, dj % m
+        mask = (self.mask << r | self.mask >> (order - r)) & full
+        # columns below m - c in every row; full / (2^m - 1) is the sum of 2^rm
+        stay = full // ((1 << m) - 1) * ((1 << (m - c)) - 1)
+        return VertexSet(self.dims, (mask & stay) << c | (mask & ~stay) >> (m - c))
 
     def transposed(self) -> "VertexSet":
         """The same set on the grid with rows and columns swapped."""

@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -371,6 +372,99 @@ def test_solve_reuses_coherent_cache(tmp_path, capsys):
     assert main(args) == 0
     out = capsys.readouterr().out
     assert out.count("gamma_p(9,3) = 8") == 2
+
+
+def _count_solves(monkeypatch) -> list:
+    """Route `cli.solve` through a counter; the list grows by one per solve."""
+    cli_module = importlib.import_module("torusdom.cli")
+    real, calls = cli_module.solve, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli_module, "solve", counting)
+    return calls
+
+
+def _solve_run(capsys, out, cache, n=9, m=5, kind="total", *extra):
+    """(exit code, stdout without the elapsed time, --out bytes) of one solve."""
+    rc = main(["solve", "--n", str(n), "--m", str(m), "--kind", kind, *extra,
+               "--out", str(out), "--cache-dir", str(cache)])
+    stdout = re.sub(r", \d+\.\d{3}s\]", "]", capsys.readouterr().out.replace(str(out), "OUT"))
+    return rc, stdout, out.read_bytes()
+
+
+def test_a_repeated_solve_is_answered_from_the_cache(monkeypatch, tmp_path, capsys):
+    calls = _count_solves(monkeypatch)
+    first = _solve_run(capsys, tmp_path / "a.json", tmp_path / "cache")
+    assert len(calls) == 1
+    again = _solve_run(capsys, tmp_path / "b.json", tmp_path / "cache")
+    assert len(calls) == 1
+    assert again == first
+    assert first[0] == 0 and "gamma_t(9,5) = 12 [method profile-dp]" in first[1]
+
+
+def _forge(cert: Certificate) -> Certificate:
+    """The same claim on the grid's first slots, which do not dominate it."""
+    verts = tuple((s // cert.m + 1, s % cert.m + 1) for s in range(cert.cardinality))
+    return dataclasses.replace(cert, vertices=verts)
+
+
+@pytest.mark.parametrize("fault", ["missing", "tampered", "forged", "other grid", "no solver"])
+def test_a_stored_certificate_that_fails_a_check_is_solved_again(
+    fault, monkeypatch, tmp_path, capsys
+):
+    cold = _solve_run(capsys, tmp_path / "cold.json", tmp_path / "cold")
+    cache = ResultCache(tmp_path / "cache")
+    cert = load_certificate(tmp_path / "cold.json")
+    value, digest = cert.cardinality, cache.store(cert)
+    path = cache.directory / f"{digest}.json"
+    if fault == "missing":
+        path.unlink()
+    elif fault == "tampered":
+        path.write_text(path.read_text().replace("profile-dp", "oracle"))
+    elif fault == "forged":
+        digest = cache.store(_forge(cert))
+    elif fault == "no solver":
+        digest = cache.store(dataclasses.replace(cert, provenance="pattern"))
+    else:  # a valid set of the transposed grid
+        other = cert.vertex_set().transposed()
+        digest = cache.store(Certificate.from_vertex_set(other, TOTAL, cert.provenance))
+    cache.put(9, 5, TOTAL, "auto", value, digest)
+    calls = _count_solves(monkeypatch)
+    assert _solve_run(capsys, tmp_path / "out.json", tmp_path / "cache") == cold
+    assert len(calls) == 1
+    assert cache.get(9, 5, TOTAL, "auto") == (value, cert.digest())
+
+
+def test_a_solve_after_audit_is_answered_from_what_audit_stored(monkeypatch, tmp_path, capsys):
+    cold = {
+        kind: _solve_run(capsys, tmp_path / f"cold-{kind}.json", tmp_path / "cold", 9, 5, kind)
+        for kind in ("plain", "total")
+    }
+    assert main(["audit", "--n", "9", "--m", "5", "--cache-dir", str(tmp_path / "cache")]) == 0
+    capsys.readouterr()
+    calls = _count_solves(monkeypatch)
+    for kind in ("plain", "total"):
+        assert _solve_run(capsys, tmp_path / f"{kind}.json", tmp_path / "cache", 9, 5, kind) == cold[kind]
+    assert calls == []
+
+
+def test_canonical_and_plain_requests_never_serve_each_other(monkeypatch, tmp_path, capsys):
+    # on 4x6 total the plain set credits the DP and the canonical one the oracle
+    plain = _solve_run(capsys, tmp_path / "plain.json", tmp_path / "p", 4, 6, "total")
+    canon = _solve_run(capsys, tmp_path / "canon.json", tmp_path / "c", 4, 6, "total", "--canonical")
+    assert plain[2] != canon[2]
+    calls = _count_solves(monkeypatch)
+    cache = tmp_path / "cache"
+    assert _solve_run(capsys, tmp_path / "1.json", cache, 4, 6, "total", "--canonical") == canon
+    assert ResultCache(cache).get(4, 6, TOTAL, "auto") is None
+    assert _solve_run(capsys, tmp_path / "2.json", cache, 4, 6, "total") == plain
+    assert _solve_run(capsys, tmp_path / "3.json", cache, 4, 6, "total", "--canonical") == canon
+    assert len(calls) == 3
+    assert _solve_run(capsys, tmp_path / "4.json", cache, 4, 6, "total") == plain
+    assert len(calls) == 3
 
 
 def test_solve_canonical_small_grid_is_oracle_exact(tmp_path, capsys):

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,9 @@ from torusdom.formulas import (
 )
 from torusdom.solve import (
     ORACLE_AUTO_CAP,
+    ORACLE_CAP,
     SolveMethod,
+    canonical,
     enumerate_total_dominating_sets,
     find_efficient_tds,
     solve,
@@ -261,9 +264,11 @@ def test_dp_certificates_match_recorded():
 
 
 def _clear_row_sweep_setup():
-    """Empty the caches that carry the row sweep's setup from call to call."""
+    """Empty the caches that carry the row sweep's setup and its finished
+    sweeps from call to call."""
     for cached in (
-        rowsweep._ring_images, rowsweep._row_within, rowsweep._row_seeds, rowsweep._closing
+        rowsweep._ring_images, rowsweep._row_within, rowsweep._row_seeds, rowsweep._closing,
+        rowsweep._sweep,
     ):
         cached.cache_clear()
 
@@ -279,6 +284,23 @@ def test_dp_certificates_do_not_depend_on_call_order():
         kind = DominationKind(kind)
         res = solve_paired_dp(n, m) if kind is PAIRED else solve_profile_dp(n, m, kind)
         assert (res.value, hex(res.certificate.mask)) == (value, mask), (n, m, kind)
+
+
+@pytest.mark.parametrize("n, m, kind", [(6, 4, TOTAL), (7, 5, PLAIN), (5, 8, PAIRED)])
+def test_a_transposed_sweep_reads_the_kept_sweep(n, m, kind):
+    # m x n after n x m reuses the finished sweep, and must return the
+    # set a cold call on m x n builds: the first set, transposed
+    solve_module = importlib.import_module("torusdom.solve")
+    bound = len(solve_module._witness_upper(n, m, kind))
+    _clear_row_sweep_setup()
+    cold = rowsweep._row_sweep(m, n, kind, bound)
+    _clear_row_sweep_setup()
+    first = rowsweep._row_sweep(n, m, kind, bound)
+    hits = rowsweep._sweep.cache_info().hits
+    warm = rowsweep._row_sweep(m, n, kind, bound)
+    assert rowsweep._sweep.cache_info().hits == hits + 1
+    assert warm == cold
+    assert warm[1] == first[1].transposed()
 
 
 def test_paired_search_certificates_match_recorded():
@@ -679,3 +701,34 @@ def test_block_excision_property_on_eight_rows():
                 assert is_total_dominating(small, moved), (i, d.pairs())
     assert sets == 656
     assert applicable == 896
+
+
+def _least_rotation_vertex_by_vertex(res):
+    """The rotation `canonical` picks, as first written: every rotation
+    built vertex by vertex and keyed by its slot list."""
+    vs = res.certificate
+    dims = vs.dims
+    rotations = (
+        VertexSet.from_vertices(dims, (tuple(dims.wrap(v.i + di, v.j + dj)) for v in vs))
+        for di in range(dims.n)
+        for dj in range(dims.m)
+    )
+    return min(rotations, key=lambda d: [s for s in range(dims.order) if d.mask >> s & 1])
+
+
+@pytest.mark.parametrize(
+    "n, m, kind", [(7, 4, PAIRED), (12, 8, TOTAL), (8, 12, TOTAL), (9, 7, PLAIN)]
+)
+def test_canonical_rotation_matches_the_vertex_by_vertex_choice(n, m, kind):
+    res = solve(n, m, kind)
+    assert res.certificate.dims.order > ORACLE_CAP  # so a rotation is chosen
+    assert canonical(res).certificate == _least_rotation_vertex_by_vertex(res)
+
+
+def test_canonical_rotation_of_a_large_grid_takes_under_a_second():
+    res = solve(64, 64, TOTAL)
+    t0 = time.perf_counter()
+    least = canonical(res).certificate
+    assert time.perf_counter() - t0 < 1.0
+    assert least.mask & 1 and len(least) == res.value
+    assert satisfies(make_torus(64, 64), least, TOTAL)
