@@ -39,6 +39,7 @@ from .validate import DominationKind, satisfies
 
 SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"
+_DIGEST = re.compile("[0-9a-f]{64}")
 
 
 @dataclass(frozen=True)
@@ -239,7 +240,7 @@ class ResultCache:
         is in canonical form, it names n, m and kind, its cardinality is
         `value`, its provenance is one of `provenances`, and it passes
         `Certificate.check`.  None otherwise."""
-        if not re.fullmatch("[0-9a-f]{64}", digest):
+        if not _DIGEST.fullmatch(digest):
             return None
         try:
             data = (self.directory / f"{digest}.json").read_bytes()
@@ -269,14 +270,17 @@ class ResultCache:
 
     def put(self, n: int, m: int, kind: DominationKind, method: str, value: int, digest: str) -> None:
         """Store one entry.  An exclusive lock on a sibling file spans the
-        whole read-modify-write, so concurrent writers lose no entries."""
+        whole read-modify-write, so concurrent writers lose no entries.
+
+        The certificate of a replaced entry is removed once no entry names
+        it; a reader that then finds it missing has an ordinary miss."""
         self.directory.mkdir(parents=True, exist_ok=True)
         with open(self.directory / "results.json.lock", "a") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)
             entries = self._load()
-            entries[self.key(n, m, kind, method)] = {
-                "value": value,
-                "digest": digest,
-                "version": TOOL_VERSION,
-            }
+            key = self.key(n, m, kind, method)
+            old = entries.get(key, {}).get("digest", "")
+            entries[key] = {"value": value, "digest": digest, "version": TOOL_VERSION}
             _replace(self.path, json.dumps(entries, indent=2, sort_keys=True) + "\n")
+            if _DIGEST.fullmatch(old) and all(e["digest"] != old for e in entries.values()):
+                (self.directory / f"{old}.json").unlink(missing_ok=True)

@@ -14,12 +14,18 @@ each, and returns the smallest one that validates.
 Also provides the set transformation used to move witnesses between
 grid sizes: single-row projection (with matching repair for paired sets,
 on the induced subgraph that `validate` builds for its own
-perfect-matching check).
+perfect-matching check).  The projection cascade, which carries the
+block tiling rounded up to sides = 0 (mod 4) down to the requested grid,
+keeps each of its steps for the life of the process, keyed by the
+tiling, the rows and columns left and the kind.  Grids that round up to
+one tiling, as most cells of one `table` do, share the steps they have
+in common; a step that raises is not kept, so it raises again.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -283,23 +289,41 @@ _PATTERN_TABLE: dict[tuple[int, int], Callable] = {
 def _projection_cascade(n: int, m: int, kind: DominationKind) -> ConstructionResult:
     """Shrink the rounded-up block tiling one row at a time down to (n, m).
 
-    The tiling is checked once, in the kind being built: by the first
-    step's input check, or by `_finish` when there is no step.
+    Its steps are `_cascade_rows` and `_cascade_columns`, each built
+    once per process, so grids that round up to the same tiling share
+    the steps they have in common.  The tiling is checked once per kind:
+    by the first row step's input check, or by `_finish` when the
+    cascade has no step.
     """
     big_n, big_m = 4 * ((n + 3) // 4), 4 * ((m + 3) // 4)
-    d = VertexSet.from_vertices(TorusDims(big_n, big_m), _block_tiling(big_n, big_m))
-    for k in range(big_n, n, -1):
-        d, _ = project_column(make_torus(k, big_m), d, kind)
-    d = d.transposed()
-    for k in range(big_m, m, -1):
-        d, _ = project_column(make_torus(k, n), d, kind)
-    d = d.transposed()
+    d = _cascade_columns(big_n, big_m, n, m, kind).transposed()
     bound = big_n * big_m // 4
     if len(d) > bound:
         raise ConstructionInvalidError(
             f"projection cascade to {n}x{m} grew past {bound}"
         )
     return _finish(d.dims, d.pairs(), len(d), kind, "projection-cascade")
+
+
+@functools.lru_cache(maxsize=None)
+def _cascade_rows(big_n: int, big_m: int, rows: int, kind: DominationKind) -> VertexSet:
+    """The block tiling of big_n x big_m projected down to `rows` rows."""
+    if rows == big_n:
+        return VertexSet.from_vertices(TorusDims(big_n, big_m), _block_tiling(big_n, big_m))
+    above = _cascade_rows(big_n, big_m, rows + 1, kind)
+    return project_column(make_torus(rows + 1, big_m), above, kind)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _cascade_columns(
+    big_n: int, big_m: int, rows: int, cols: int, kind: DominationKind
+) -> VertexSet:
+    """`_cascade_rows` at `rows`, projected down to `cols` columns, held
+    transposed (on the cols x rows grid)."""
+    if cols == big_m:
+        return _cascade_rows(big_n, big_m, rows, kind).transposed()
+    above = _cascade_columns(big_n, big_m, rows, cols + 1, kind)
+    return project_column(make_torus(cols + 1, rows), above, kind)[0]
 
 
 def construct_bound_pattern(n: int, m: int, kind: DominationKind) -> ConstructionResult:

@@ -113,7 +113,15 @@ class VertexSet:
 
     @classmethod
     def from_vertices(cls, dims: TorusDims, vertices: Iterable[tuple[int, int]]) -> "VertexSet":
-        return cls.from_slots(dims, (dims.slot(VertexId(i, j)) for i, j in vertices))
+        n, m = dims.n, dims.m
+
+        def slots() -> Iterator[int]:
+            for i, j in vertices:
+                if not (1 <= i <= n and 1 <= j <= m):
+                    raise OutOfRangeError(f"vertex {(i, j)} outside {n}x{m} grid")
+                yield (i - 1) * m + j - 1
+
+        return cls.from_slots(dims, slots())
 
     @classmethod
     def from_slots(cls, dims: TorusDims, slots: Iterable[int]) -> "VertexSet":
@@ -154,8 +162,12 @@ class VertexSet:
         return VertexSet(self.dims, (mask & stay) << c | (mask & ~stay) >> (m - c))
 
     def transposed(self) -> "VertexSet":
-        """The same set on the grid with rows and columns swapped."""
-        return VertexSet.from_vertices(self.dims.transposed(), ((v.j, v.i) for v in self))
+        """The same set on the grid with rows and columns swapped: slot
+        s = im + j goes to jn + i."""
+        n, m = self.dims.n, self.dims.m
+        return VertexSet.from_slots(
+            self.dims.transposed(), (s % m * n + s // m for s in set_slots(self.mask))
+        )
 
     def pairs(self) -> list[tuple[int, int]]:
         """Coordinates as sorted (i, j) tuples, in slot order."""

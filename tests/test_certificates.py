@@ -148,6 +148,18 @@ def test_cache_roundtrip(tmp_path):
     assert cache.get(8, 4, TOTAL, "auto") == (8, "d" * 64)
 
 
+def test_a_certificate_that_two_entries_name_survives_replacing_one(tmp_path):
+    cache = ResultCache(tmp_path)
+    shared = cache.store(_sample())
+    other = cache.store(Certificate.from_vertex_set(_sample().vertex_set(), PAIRED, "oracle"))
+    cache.put(4, 4, PAIRED, "auto", 4, shared)
+    cache.put(4, 4, PAIRED, "dp", 4, shared)
+    cache.put(4, 4, PAIRED, "auto", 4, other)
+    assert (tmp_path / f"{shared}.json").exists()
+    cache.put(4, 4, PAIRED, "dp", 4, other)
+    assert sorted(p.name for p in tmp_path.glob("*.json")) == sorted([f"{other}.json", "results.json"])
+
+
 def test_cache_key_format():
     assert ResultCache.key(10, 3, PAIRED, "dp") == "10x3:paired:dp"
 

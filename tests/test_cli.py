@@ -436,6 +436,10 @@ def test_a_stored_certificate_that_fails_a_check_is_solved_again(
     assert _solve_run(capsys, tmp_path / "out.json", tmp_path / "cache") == cold
     assert len(calls) == 1
     assert cache.get(9, 5, TOTAL, "auto") == (value, cert.digest())
+    # the replaced entry's certificate goes with it, whatever the fault was
+    assert sorted(p.name for p in cache.directory.glob("*.json")) == sorted(
+        [f"{cert.digest()}.json", "results.json"]
+    )
 
 
 def test_a_solve_after_audit_is_answered_from_what_audit_stored(monkeypatch, tmp_path, capsys):

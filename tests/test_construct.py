@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from torusdom.cli import main
 from torusdom.construct import (
     best_upper_witness,
     construct_base_tile,
@@ -249,16 +250,74 @@ def test_projection_moves_last_row_inward():
     assert satisfies(make_torus(6, 4), out, PAIRED)
 
 
+def _clear_cascade_steps():
+    """Empty the caches that keep the projection cascade's steps from call
+    to call, so the next cascade builds each of its steps afresh."""
+    module = importlib.import_module("torusdom.construct")
+    module._cascade_rows.cache_clear()
+    module._cascade_columns.cache_clear()
+
+
 def test_projection_checks_raise_certificate_errors(monkeypatch):
     # a projection that loses domination is a bug: it raises CertificateError,
     # which best_upper_witness does not swallow, and not an assert
     module = importlib.import_module("torusdom.construct")
+    _clear_cascade_steps()
     monkeypatch.setattr(module, "is_total_dominating", lambda g, d: False)
     with pytest.raises(CertificateError, match="projection to 6x4"):
         project_column(make_torus(7, 4), construct_m4(7).vertex_set, PAIRED)
+    _clear_cascade_steps()
     monkeypatch.setattr(module, "satisfies", lambda g, d, kind: g.dims.n == 8)
     with pytest.raises(CertificateError, match="projection to 7x8"):
         best_upper_witness(7, 8, TOTAL)
+
+
+def _cold_cascade(n, m, kind):
+    """The cascade's set built step by step with no kept steps: the block
+    tiling rounded up to sides = 0 (mod 4), projected a row at a time to n
+    rows, transposed, projected to m columns and transposed back."""
+    big_n, big_m = 4 * ((n + 3) // 4), 4 * ((m + 3) // 4)
+    d = construct_mod4(big_n, big_m).vertex_set
+    for k in range(big_n, n, -1):
+        d, _ = project_column(make_torus(k, big_m), d, kind)
+    d = d.transposed()
+    for k in range(big_m, m, -1):
+        d, _ = project_column(make_torus(k, n), d, kind)
+    return d.transposed()
+
+
+@pytest.mark.parametrize("step", [1, -1], ids=["ascending", "descending"])
+def test_kept_cascade_steps_build_what_a_cold_cascade_builds(step):
+    # grids that round up to one tiling share steps; walking them both ways
+    # reads each shared prefix from either side
+    module = importlib.import_module("torusdom.construct")
+    grids = [(n, m) for n in range(5, 17) for m in range(5, 17)][::step]
+    _clear_cascade_steps()
+    for n, m in grids:
+        for kind in (TOTAL, PAIRED):
+            res = module._projection_cascade(n, m, kind)
+            assert res.vertex_set == _cold_cascade(n, m, kind), (n, m, kind)
+    assert module._cascade_rows.cache_info().hits > 0
+    assert module._cascade_columns.cache_info().hits > 0
+
+
+def test_a_table_shares_cascade_steps_across_its_cells(monkeypatch, capsys):
+    # 3..12 x 3..8 rounds its 30 cascade cells up to 8x8 and 12x8, which
+    # share their steps: 34 projections where one cascade per cell made 100.
+    # The one repeat is not a cascade step: the 6x5 and 5x6 cells each
+    # project the corner-trimmed 7x5 pattern to 6x5
+    module = importlib.import_module("torusdom.construct")
+    real, steps = module.project_column, []
+
+    def counting(g, d, kind):
+        steps.append((g.dims, d.mask, kind))
+        return real(g, d, kind)
+
+    monkeypatch.setattr(module, "project_column", counting)
+    _clear_cascade_steps()
+    assert main(["table", "--n", "3..12", "--m", "3..8", "--kind", "paired"]) == 0
+    capsys.readouterr()
+    assert (len(steps), len(set(steps))) == (34, 33)
 
 
 def test_construction_checks_run_under_optimize(tmp_path):

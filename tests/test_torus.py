@@ -120,6 +120,14 @@ def test_vertex_set_from_vertices_checks_range():
         VertexSet.from_vertices(dims, [(1, 1), (5, 2)])
 
 
+def test_from_vertices_names_the_first_vertex_off_the_grid():
+    dims = TorusDims(4, 6)
+    for bad in [(0, 1), (5, 1), (1, 0), (1, 7)]:
+        with pytest.raises(OutOfRangeError) as info:
+            VertexSet.from_vertices(dims, [(4, 6), bad, (9, 9)])
+        assert str(info.value) == f"vertex {bad} outside 4x6 grid"
+
+
 def test_vertex_set_rotation_is_a_bijection():
     dims = TorusDims(4, 5)
     d = VertexSet.from_vertices(dims, [(1, 1), (2, 3), (4, 5)])
@@ -137,6 +145,18 @@ def test_vertex_set_transposed_involution():
     assert t.dims == TorusDims(5, 3)
     assert t.pairs() == [(2, 3), (4, 1)]
     assert t.transposed() == d
+
+
+def test_transposed_is_the_coordinate_transpose():
+    for n in range(3, 10):
+        for m in range(3, 10):
+            dims = TorusDims(n, m)
+            for mask in _probe_masks(dims, f"transpose {n}x{m}"):
+                d = VertexSet(dims, mask)
+                t = d.transposed()
+                assert t.dims == dims.transposed()
+                assert t.pairs() == sorted((j, i) for i, j in d.pairs()), (n, m, bin(mask))
+                assert t.transposed() == d
 
 
 def test_graph_is_four_regular():
