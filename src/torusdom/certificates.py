@@ -202,26 +202,28 @@ class ResultCache:
     def key(n: int, m: int, kind: DominationKind, method: str) -> str:
         return f"{n}x{m}:{kind.value}:{method}"
 
-    def _load(self) -> dict[str, dict]:
+    def _read(self) -> dict:
+        """`results.json` as stored, every entry kept, or {} when unreadable."""
         try:
             doc = json.loads(self.path.read_text())
         except (OSError, json.JSONDecodeError):
             return {}
-        if not isinstance(doc, dict):
-            return {}
-        out = {}
-        for key, entry in doc.items():
-            if (
-                isinstance(entry, dict)
-                and entry.get("version") == TOOL_VERSION
-                and isinstance(entry.get("value"), int)
-                and isinstance(entry.get("digest"), str)
-            ):
-                out[key] = entry
-        return out
+        return doc if isinstance(doc, dict) else {}
+
+    @staticmethod
+    def _live(doc: dict) -> dict[str, dict]:
+        """The entries of a read `results.json` that this tool version wrote."""
+        return {
+            key: entry
+            for key, entry in doc.items()
+            if isinstance(entry, dict)
+            and entry.get("version") == TOOL_VERSION
+            and isinstance(entry.get("value"), int)
+            and isinstance(entry.get("digest"), str)
+        }
 
     def get(self, n: int, m: int, kind: DominationKind, method: str) -> Optional[tuple[int, str]]:
-        entry = self._load().get(self.key(n, m, kind, method))
+        entry = self._live(self._read()).get(self.key(n, m, kind, method))
         if entry is None:
             return None
         return entry["value"], entry["digest"]
@@ -272,15 +274,19 @@ class ResultCache:
         """Store one entry.  An exclusive lock on a sibling file spans the
         whole read-modify-write, so concurrent writers lose no entries.
 
-        The certificate of a replaced entry is removed once no entry names
-        it; a reader that then finds it missing has an ordinary miss."""
+        The certificate of a replaced entry, or of an entry another tool
+        version wrote, is removed once no entry names it; a reader that
+        then finds it missing has an ordinary miss."""
         self.directory.mkdir(parents=True, exist_ok=True)
         with open(self.directory / "results.json.lock", "a") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)
-            entries = self._load()
+            doc = self._read()
+            entries = self._live(doc)
             key = self.key(n, m, kind, method)
-            old = entries.get(key, {}).get("digest", "")
             entries[key] = {"value": value, "digest": digest, "version": TOOL_VERSION}
             _replace(self.path, json.dumps(entries, indent=2, sort_keys=True) + "\n")
-            if _DIGEST.fullmatch(old) and all(e["digest"] != old for e in entries.values()):
-                (self.directory / f"{old}.json").unlink(missing_ok=True)
+            named = {e["digest"] for e in entries.values()}
+            for entry in doc.values():
+                old = entry.get("digest") if isinstance(entry, dict) else None
+                if isinstance(old, str) and _DIGEST.fullmatch(old) and old not in named:
+                    (self.directory / f"{old}.json").unlink(missing_ok=True)

@@ -364,8 +364,10 @@ def _transposed(res: ConstructionResult) -> ConstructionResult:
     return _finish(moved.dims, moved.pairs(), res.claimed_cardinality, res.kind, res.provenance)
 
 
+@functools.lru_cache(maxsize=None)
 def _project_corner_trimmed(n: int, m: int, kind: DominationKind) -> ConstructionResult:
-    # m = 1, n = 2 (mod 4): one projection away from the corner-trimmed class
+    # m = 1, n = 2 (mod 4): one projection away from the corner-trimmed class,
+    # kept for the process like a cascade step, since m x n reaches it too
     src = construct_bound_pattern(n + 1, m, kind)
     d, _ = project_column(make_torus(n + 1, m), src.vertex_set, kind)
     bound = src.claimed_cardinality

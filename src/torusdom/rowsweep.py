@@ -3,12 +3,14 @@
 The sweep carries per-row membership, outstanding-domination and
 unmatched-member masks (the last always empty unless paired), with
 wraparound closed by boundary seeds.  Its setup is built once per width
-and kind and kept for the process: numbered states, one move table (next
-states as a mask per member count, for the sweep and its bound alike),
-each level of the bound, the ring's images, the seeds and their closing
-masks.  A finished sweep is kept too, keyed by its oriented grid, kind
-and bound, so n x m and m x n cost one sweep per process.  A layer is a
-mask per cost, so one OR moves a group of states.  Three prunes leave
+and kind and kept for the process: numbered states, one move table (one
+integer word per state, holding its next states as one mask per member
+count, side by side, for the sweep and its bound alike), each level of
+the bound, the ring's images, the seeds and their closing masks.  A
+finished sweep is kept too, keyed by its oriented grid, kind and bound,
+so n x m and m x n cost one sweep per process.  A layer is a mask per
+cost: the words of its states are ORed in C, and one shift per member
+count moves every next state at that count.  Three prunes leave
 its values and certificates unchanged: one seed per orbit of the width
 ring's rotations and reflections, costs bounded by the best set found
 so far, and a backward lower bound on the cost of the rows still to
@@ -24,10 +26,15 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import operator
 from typing import Optional
 
 from .torus import TorusDims, VertexSet, set_slots
 from .validate import DominationKind
+
+# a mask's binary digits, least first, as bytes 0 and 1: selectors for
+# itertools.compress that pick the move words of the states in the mask
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _orient(n: int, m: int) -> tuple[int, int, bool]:
@@ -55,11 +62,15 @@ def _rows_to_set(rows: tuple[int, ...], length: int, width: int, transposed: boo
 
 @functools.lru_cache(maxsize=None)
 def _ring_images(width: int) -> tuple[tuple[int, ...], ...]:
-    """images[2r + (s < 0)][c]: ring mask c under j -> r + s*j (mod width)."""
+    """images[2r + (s < 0)][c]: ring mask c under j -> r + s*j (mod width).
+    A rotation by r shifts the mask; j -> r - j reverses its bits, then
+    rotates by r + 1."""
+    full = (1 << width) - 1
+    flipped = [int(format(c, f"0{width}b")[::-1], 2) for c in range(full + 1)]
     return tuple(
-        tuple(sum(1 << (r + s * j) % width for j in range(width) if c >> j & 1) for c in range(1 << width))
+        tuple((c << t | c >> width - t) & full for c in masks)
         for r in range(width)
-        for s in (1, -1)
+        for masks, t in ((range(full + 1), r), (flipped, r + 1))
     )
 
 
@@ -91,19 +102,15 @@ def _row_tables(width: int, kind: DominationKind) -> tuple[tuple, ...]:
 
     need[c]: the vertices of a row with members c that no member of that
     row dominates; pop[c]: the members of c; supersets[u]: every row
-    membership containing u, fewest members first; leftovers[c]: the
-    unmatched masks a row's fresh members c may leave (always (0,) unless
-    paired).
+    membership containing u; leftovers[c]: the unmatched masks a row's
+    fresh members c may leave (always (0,) unless paired).
     """
     full = (1 << width) - 1
     total = kind is DominationKind.TOTAL
     ring = [(c << 1 | c >> 1 | c << width - 1 | c >> width - 1) & full for c in range(full + 1)]
     need = tuple((full if total else full & ~c) & ~ring[c] for c in range(full + 1))
     pop = tuple(c.bit_count() for c in range(full + 1))
-    supersets = tuple(
-        tuple(sorted((u | s for s in _subsets(full & ~u)), key=pop.__getitem__))
-        for u in range(full + 1)
-    )
+    supersets = tuple(tuple(u | s for s in _subsets(full & ~u)) for u in range(full + 1))
     leftovers = _cycle_leftovers(width) if kind is DominationKind.PAIRED else ((0,),) * (full + 1)
     return need, pop, supersets, leftovers
 
@@ -114,31 +121,34 @@ def _row_moves(width: int, kind: DominationKind) -> tuple[tuple, tuple]:
 
     states: every (membership c, pending u, unmatched w) with u a submask
     of need[c] and w a submask of c (0 unless paired), in ascending tuple
-    order, which holds every state a transition can reach.  moves[i]: the
-    (members of the next row, mask of the numbers of the next states with
-    that many members) pairs of state i, fewest members first.
+    order, which holds every state a transition can reach.  moves[i]: one
+    word per state, the sum over p = 0..width of (mask of the numbers of
+    the next states of state i whose row has p members) << p*S, S the
+    number of states; bit p*S + j is set when state i moves to state j
+    with p members.
     """
     need, pop, supersets, leftovers = _row_tables(width, kind)
-    states = tuple(
-        (c, u, w)
-        for c in range(len(need))
-        for u in _subsets(need[c])
-        for w in (_subsets(c) if kind is DominationKind.PAIRED else (0,))
-    )
-    # state (c, u, w) is numbered first[(c, u)] plus the rank of w among the
-    # submasks of c, so spots[c][x] marks the states of leftovers[x] by rank
-    first: dict[tuple[int, int], int] = {}
+    unmatched = [_subsets(c) if kind is DominationKind.PAIRED else (0,) for c in range(len(need))]
+    states = tuple((c, u, w) for c in range(len(need)) for u in _subsets(need[c]) for w in unmatched[c])
+    size = len(states)
+    # state (c, u, w) is numbered first[c][u] plus the rank of w among
+    # unmatched[c]; spots[c2][w] marks by rank the states of row c2 that
+    # leftovers[c2 & ~w] reach.  Next states through different rows c2
+    # differ, so a word is the plain sum of each row's shifted spots
+    first: list[dict[int, int]] = [{} for _ in need]
     for i, (c, u, _) in enumerate(states):
-        first.setdefault((c, u), i)
-    ranks = [{w: r for r, w in enumerate(_subsets(c))} for c in range(len(need))]
-    spots = [{x: sum(1 << rank[w] for w in leftovers[x]) for x in rank} for rank in ranks]
+        first[c].setdefault(u, i)
+    ranks = [{w: r for r, w in enumerate(ws)} for ws in unmatched]
+    spots = [
+        {w: sum(1 << rank[x] for x in leftovers[c2 & ~w]) for w in rank} for c2, rank in enumerate(ranks)
+    ]
     moves = []
-    for c, u, w in states:
-        groups: dict[int, int] = {}
-        for c2 in supersets[u | w]:
-            bits = spots[c2][c2 & ~w] << first[(c2, need[c2] & ~c)]
-            groups[pop[c2]] = groups.get(pop[c2], 0) | bits
-        moves.append(tuple(groups.items()))
+    for c in range(len(need)):
+        at = [starts[x & ~c] + p * size for starts, x, p in zip(first, need, pop)]
+        shifted = {w: [spot.get(w, 0) << a for spot, a in zip(spots, at)] for w in unmatched[c]}
+        moves.extend(
+            sum(map(shifted[w].__getitem__, supersets[u | w])) for u in first[c] for w in unmatched[c]
+        )
     return states, tuple(moves)
 
 
@@ -147,24 +157,33 @@ def _row_within(width: int, kind: DominationKind, k: int) -> tuple[tuple[int, ..
     """(within[k], floor): within[k][r] is the mask of the row-sweep state
     numbers (`_row_moves`) whose least cost of k more rows, with the
     wraparound closure ignored, is at most r, for r = 0..width*k since k
-    full rows always extend, and floor is the least r with a state.  One
-    backward min-plus step from within[k - 1] over the kernel's move table.
+    full rows always extend, and floor is the least r with a state.
+
+    One backward min-plus step from within[k - 1] over the kernel's move
+    table: reach[t] has bit p*S + j set when p + (state j's least cost of
+    k - 1 more rows) <= t, so a state's least cost is the first t whose
+    reach meets its move word.  That cost is never below the state's least
+    cost of k - 1 rows, so the search for each state starts there.
     """
     moves = _row_moves(width, kind)[1]
+    size = len(moves)
+    everything = (1 << size) - 1
     if not k:
-        return ((1 << len(moves)) - 1,), 0
-    prev, floor = _row_within(width, kind, k - 1)
+        return (everything,), 0
+    prev = _row_within(width, kind, k - 1)[0]
+    fields = (1 << (width + 1) * size) - 1
+    reach = [prev[0]]
+    for t in range(1, width * k + 1):
+        reach.append((reach[-1] << size & fields) | (prev[t] if t < len(prev) else everything))
     levels = [0] * (width * k + 1)
-    for i, row in enumerate(moves):
-        least = width * k
-        for step, mask in row:
-            if step + floor >= least:
-                break
-            r = floor
-            while step + r < least and not mask & prev[r]:
-                r += 1
-            least = min(least, step + r)
-        levels[least] |= 1 << i
+    seen = 0
+    for r, mask in enumerate(prev):
+        for i in set_slots(mask & ~seen):
+            word, t = moves[i], r
+            while not word & reach[t]:
+                t += 1
+            levels[t] |= 1 << i
+        seen = mask
     within = tuple(itertools.accumulate(levels, int.__or__))
     return within, next(r for r, mask in enumerate(within) if mask)
 
@@ -234,8 +253,9 @@ def _sweep(length: int, width: int, kind: DominationKind, bound: int) -> Optiona
     (`_row_moves`), each level of the backward bound (`_row_within`), the
     seeds under each cap (`_row_seeds`) and each seed's closing mask
     (`_closing`).  A layer maps each cost, ascending, to the mask of the
-    states whose least cost it is: one OR moves every next state a state
-    reaches with the same number of members.  The last layer holds only
+    states whose least cost it is.  The move words of a cost's states are
+    ORed into one word, and the field of p members, shifted down, is ORed
+    into the next layer at that cost plus p.  The last layer holds only
     states that close with the seed.  No back-pointers are kept: a state
     at cost d with p members follows the least state number at cost d - p
     in the layer before that reaches it.
@@ -254,9 +274,9 @@ def _sweep(length: int, width: int, kind: DominationKind, bound: int) -> Optiona
       each best set found.
     * Lower bound: a state with k rows after it is dropped when its cost
       plus its least cost of k more rows (`_row_within`, closure ignored)
-      exceeds the bound, one AND per level.  Moves are tried with the
-      fewest members first, so a move that the least such cost of the
-      next layer already rules out ends the loop.
+      exceeds the bound, one AND per level.  A cost's word is spread
+      only over the member counts that keep it within the bound less the
+      least such cost of the next layer.
 
     Why the certificate cannot move: call a state's cost without these
     prunes d.  A state with d + lb <= bound is kept at cost d, and so is
@@ -270,6 +290,8 @@ def _sweep(length: int, width: int, kind: DominationKind, bound: int) -> Optiona
     """
     need, pop = _row_tables(width, kind)[:2]
     states, moves = _row_moves(width, kind)
+    size = len(states)
+    everything = (1 << size) - 1
     bounds = [_row_within(width, kind, k) for k in range(length - 1)]
     best: Optional[tuple[int, list[int]]] = None
     for c1, u1, x1, w1 in _row_seeds(width, kind, bound // length):
@@ -280,11 +302,10 @@ def _sweep(length: int, width: int, kind: DominationKind, bound: int) -> Optiona
             room = bound - floor
             reached = [0] * (room + 1)
             for cost, mask in layers[-1].items():
-                for i in set_slots(mask):
-                    for members, nexts in moves[i]:
-                        if cost + members > room:
-                            break
-                        reached[cost + members] |= nexts
+                picked = itertools.compress(moves, bin(mask)[:1:-1].encode().translate(_DIGITS))
+                word = functools.reduce(operator.or_, picked)
+                for members in range(min(width, room - cost) + 1):
+                    reached[cost + members] |= word >> members * size & everything
             layer = {}
             seen = 0
             for cost, nexts in enumerate(reached):
@@ -301,7 +322,7 @@ def _sweep(length: int, width: int, kind: DominationKind, bound: int) -> Optiona
             for layer in layers[-2::-1]:
                 members = pop[rows[-1]]
                 at -= members
-                cur = next(i for i in set_slots(layer[at]) if dict(moves[i]).get(members, 0) >> cur & 1)
+                cur = next(i for i in set_slots(layer[at]) if moves[i] >> members * size + cur & 1)
                 rows.append(states[cur][0])
             best = (bound, rows[::-1])
             bound -= 1

@@ -183,6 +183,16 @@ def test_cache_drops_entries_from_other_versions(tmp_path):
     assert entry["value"] == 4
 
 
+def test_a_dropped_entry_of_another_version_takes_its_certificate_along(tmp_path):
+    cache = ResultCache(tmp_path)
+    live = cache.store(_sample())
+    key = ResultCache.key(4, 4, PAIRED, "auto")
+    cache.path.write_text(json.dumps({key: {"value": 4, "digest": "a" * 64, "version": "0.0.9"}}))
+    (tmp_path / f"{'a' * 64}.json").write_text("{}")
+    cache.put(4, 4, PAIRED, "auto", 4, live)
+    assert sorted(p.name for p in tmp_path.glob("*.json")) == sorted([f"{live}.json", "results.json"])
+
+
 def test_cache_keeps_every_key_of_concurrent_writers(tmp_path):
     # two processes each store 40 keys of their own; without a lock across
     # the read-modify-write, one can replace the file with a copy read

@@ -267,8 +267,8 @@ def _clear_row_sweep_setup():
     """Empty the caches that carry the row sweep's setup and its finished
     sweeps from call to call."""
     for cached in (
-        rowsweep._ring_images, rowsweep._row_within, rowsweep._row_seeds, rowsweep._closing,
-        rowsweep._sweep,
+        rowsweep._ring_images, rowsweep._row_tables, rowsweep._row_moves, rowsweep._row_within,
+        rowsweep._row_seeds, rowsweep._closing, rowsweep._sweep,
     ):
         cached.cache_clear()
 
@@ -495,20 +495,34 @@ def test_row_moves_match_the_row_tables(width, kind):
     # certificates rest on it
     assert list(states) == sorted(everything)
     assert len(moves) == len(states)
-    for (c, u, w), row in zip(states, moves):
+    size = len(states)
+    for (c, u, w), word in zip(states, moves):
         expected = [
             (pop[c2], states.index((c2, need[c2] & ~c, w2)))
             for c2 in supersets[u | w]
             for w2 in leftovers[c2 & ~w]
         ]
-        # one nonempty mask per member count, fewest members first, which
-        # expands to exactly the expected moves, each once
-        assert [members for members, _ in row] == sorted({step for step, _ in expected})
-        assert all(mask for _, mask in row)
-        got = [(members, j) for members, mask in row for j in range(len(states)) if mask >> j & 1]
-        assert sorted(got) == sorted(expected) and len(set(expected)) == len(expected), (c, u, w)
+        # bit p*size + j is set exactly for the expected moves (p, j), each
+        # expected once, and no bit lies beyond field `width`
+        assert len(set(expected)) == len(expected), (c, u, w)
+        assert word >> (width + 1) * size == 0, (c, u, w)
+        got = [divmod(b, size) for b in range(word.bit_length()) if word >> b & 1]
+        assert sorted(got) == sorted(expected), (c, u, w)
         # every row meeting the pending needs and partners
         assert {states[j][0] for _, j in got} == {c2 for c2 in range(full + 1) if not (u | w) & ~c2}
+
+
+@pytest.mark.parametrize("width", range(3, 9))
+def test_ring_images_map_each_bit(width):
+    images = rowsweep._ring_images(width)
+    assert len(images) == 2 * width
+    for r in range(width):
+        for s in (1, -1):
+            image = images[2 * r + (s < 0)]
+            assert len(image) == 1 << width
+            for c in range(1 << width):
+                bits = [j for j in range(width) if c >> j & 1]
+                assert image[c] == sum(1 << (r + s * j) % width for j in bits), (r, s, c)
 
 
 def _reference_sweep(n, m, kind, bound):
