@@ -10,11 +10,13 @@ the bound, the ring's images, the seeds and their closing masks.  A
 finished sweep is kept too, keyed by its oriented grid, kind and bound,
 so n x m and m x n cost one sweep per process.  A layer is a mask per
 cost: the words of its states are ORed in C, and one shift per member
-count moves every next state at that count.  Three prunes leave
+count moves every next state at that count.  Four prunes leave
 its values and certificates unchanged: one seed per orbit of the width
 ring's rotations and reflections, costs bounded by the best set found
-so far, and a backward lower bound on the cost of the rows still to
-come.
+so far, a backward lower bound on the cost of the rows still to come,
+and the members the seed forces into the last row added to the bound
+one row shorter.  A seed ends at its first empty layer, and its closing
+mask is built only when it reaches the last row.
 
 This module is the kernel only: `_row_sweep` returns a value and a set,
 and `solve` checks the set and decides when the sweep runs.  It imports
@@ -208,9 +210,28 @@ def _row_seeds(width: int, kind: DominationKind, cap: int) -> tuple[tuple[int, i
 def _closing(width: int, kind: DominationKind, c1: int, r1: int, x1: int) -> int:
     """The mask of the row-sweep states that close with a seed's first row
     (members c1, needs r1 left to the last row, partners x1 claimed from
-    it): their pending needs met by c1, r1 by their members, x1 unmatched."""
+    it): their pending needs met by c1, r1 by their members, x1 unmatched.
+
+    Built per membership c from the numbering (`_row_moves`), which is
+    u-major and w-minor within c: (c, u, x1) comes rank(u) blocks after
+    (c, 0, x1), a block being the 2^|c| states of one u when paired and 1
+    otherwise, and a submask's rank among its mask's submasks is its bits
+    read at that mask's positions.  So the mask of c starts at (c, 0, x1)
+    and doubles once per bit of need[c] inside c1."""
     states = _row_moves(width, kind)[0]
-    return sum(1 << j for j, (c, u, w) in enumerate(states) if not u & ~c1 and not r1 & ~c and w == x1)
+    need, pop = _row_tables(width, kind)[:2]
+    paired = kind is DominationKind.PAIRED
+    mask = 0
+    for c in range(len(need)):
+        if (r1 | x1) & ~c:
+            continue
+        stride = 1 << pop[c] if paired else 1
+        block = 1 << bisect.bisect_left(states, (c, 0, x1))
+        for rank, j in enumerate(j for j in range(width) if need[c] >> j & 1):
+            if c1 >> j & 1:
+                block |= block << (stride << rank)
+        mask |= block
+    return mask
 
 
 def _row_sweep(n: int, m: int, kind: DominationKind, bound: int) -> Optional[tuple[int, VertexSet]]:
@@ -252,15 +273,16 @@ def _sweep(length: int, width: int, kind: DominationKind, bound: int) -> Optiona
     states, numbered in ascending tuple order, with one move table
     (`_row_moves`), each level of the backward bound (`_row_within`), the
     seeds under each cap (`_row_seeds`) and each seed's closing mask
-    (`_closing`).  A layer maps each cost, ascending, to the mask of the
-    states whose least cost it is.  The move words of a cost's states are
-    ORed into one word, and the field of p members, shifted down, is ORed
-    into the next layer at that cost plus p.  The last layer holds only
-    states that close with the seed.  No back-pointers are kept: a state
-    at cost d with p members follows the least state number at cost d - p
-    in the layer before that reaches it.
+    (`_closing`), built when the seed first reaches the last row.  A layer
+    maps each cost, ascending, to the mask of the states whose least cost
+    it is.  The move words of a cost's states are ORed into one word, and
+    the field of p members, shifted down, is ORed into the next layer at
+    that cost plus p.  The last layer holds only states that close with
+    the seed, and a seed ends at its first empty layer.  No back-pointers
+    are kept: a state at cost d with p members follows the least state
+    number at cost d - p in the layer before that reaches it.
 
-    Three prunes leave every value and certificate as they would be
+    Four prunes leave every value and certificate as they would be
     without them.  Seeds run in lexicographic order, and the best set
     changes only on a strict improvement, so the certificate comes from
     the first seed s* that reaches the optimum.
@@ -277,6 +299,11 @@ def _sweep(length: int, width: int, kind: DominationKind, bound: int) -> Optiona
       exceeds the bound, one AND per level.  A cost's word is spread
       only over the member counts that keep it within the bound less the
       least such cost of the next layer.
+    * Closing row: the seed's closing test makes the last row hold
+      r1 | x1, the first row's needs the second row leaves (r1 = need[c1]
+      & ~u1) and the partners it claims, so a state with k >= 1 rows
+      after it is charged max(lb_k, lb_{k-1} + |r1 | x1|), one more AND
+      per level; the room is sized by the floors of both levels alike.
 
     Why the certificate cannot move: call a state's cost without these
     prunes d.  A state with d + lb <= bound is kept at cost d, and so is
@@ -287,6 +314,15 @@ def _sweep(length: int, width: int, kind: DominationKind, bound: int) -> Optiona
     it is kept; a seed's least closing cost, and its least state there,
     are found exactly when that cost is within the bound, so the bound
     moves as it would without the prunes.
+
+    The same holds with lb = max(lb_k, lb_{k-1} + |r1 | x1|).  It is
+    admissible on closing paths: of the k rows left, the first k - 1 cost
+    at least lb_{k-1} and the last at least |r1 | x1|.  It is consistent:
+    a move with p members to a state with k - 1 rows left has lb_k <= p +
+    lb_{k-1} of the next state and lb_{k-1} <= p + lb_{k-2} of it, and at
+    k = 1 the next state is in the last layer, so it closes and holds
+    r1 | x1, so |r1 | x1| <= p.  The larger of two consistent, admissible
+    bounds is both, so each step above carries over.
     """
     need, pop = _row_tables(width, kind)[:2]
     states, moves = _row_moves(width, kind)
@@ -295,11 +331,17 @@ def _sweep(length: int, width: int, kind: DominationKind, bound: int) -> Optiona
     bounds = [_row_within(width, kind, k) for k in range(length - 1)]
     best: Optional[tuple[int, list[int]]] = None
     for c1, u1, x1, w1 in _row_seeds(width, kind, bound // length):
-        closing = _closing(width, kind, c1, need[c1] & ~u1, x1)
+        r1 = need[c1] & ~u1  # needs of the first row left to the last
+        last = pop[r1 | x1]  # members the closing row must hold
         layers = [{pop[c1]: 1 << bisect.bisect_left(states, (c1, u1, w1))}]
         for k in range(length - 2, -1, -1):  # k rows after the next one
-            within, floor = bounds[k]
-            room = bound - floor
+            if k:
+                within, floor = bounds[k]
+                shorter, low = bounds[k - 1]
+                room = bound - max(floor, low + last)
+            else:
+                closing = _closing(width, kind, c1, r1, x1)
+                room = bound
             reached = [0] * (room + 1)
             for cost, mask in layers[-1].items():
                 picked = itertools.compress(moves, bin(mask)[:1:-1].encode().translate(_DIGITS))
@@ -311,9 +353,15 @@ def _sweep(length: int, width: int, kind: DominationKind, bound: int) -> Optiona
             for cost, nexts in enumerate(reached):
                 fresh = nexts & ~seen
                 seen |= nexts
-                fresh &= within[min(bound - cost, len(within) - 1)] if k else closing
+                if k:
+                    fresh &= within[min(bound - cost, len(within) - 1)]
+                    fresh &= shorter[min(bound - cost - last, len(shorter) - 1)]
+                else:
+                    fresh &= closing
                 if fresh:
                     layer[cost] = fresh
+            if not layer:
+                break
             layers.append(layer)
         if layer:
             bound = at = min(layer)

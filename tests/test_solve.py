@@ -525,15 +525,44 @@ def test_ring_images_map_each_bit(width):
                 assert image[c] == sum(1 << (r + s * j) % width for j in bits), (r, s, c)
 
 
+def _seed_sweep(length, width, kind, seed):
+    """(closing, layers) of one seed (c1, u1, x1, w1) swept without prunes
+    over `length` rows: layers[i] maps each state number reached after row
+    i + 1 to (its least cost, the least predecessor number at that cost),
+    and closing lists (cost, number) of the last layer's states that close
+    with the seed, ascending."""
+    need, pop, supersets, leftovers = rowsweep._row_tables(width, kind)
+    states = rowsweep._row_moves(width, kind)[0]
+    number = {state: i for i, state in enumerate(states)}
+    c1, u1, x1, w1 = seed
+    layers = [{number[(c1, u1, w1)]: (pop[c1], None)}]
+    for _ in range(length - 1):
+        nxt = {}
+        for i, (cost, _) in sorted(layers[-1].items()):
+            c, u, w = states[i]
+            for c2 in supersets[u | w]:
+                for w2 in leftovers[c2 & ~w]:
+                    j = number[(c2, need[c2] & ~c, w2)]
+                    if j not in nxt or cost + pop[c2] < nxt[j][0]:
+                        nxt[j] = (cost + pop[c2], i)
+        layers.append(nxt)
+    r1 = need[c1] & ~u1
+    closing = sorted(
+        (cost, j)
+        for j, (cost, _) in layers[-1].items()
+        if not states[j][1] & ~c1 and not r1 & ~states[j][0] and states[j][2] == x1
+    )
+    return closing, layers
+
+
 def _reference_sweep(n, m, kind, bound):
-    """(value, certificate mask) of the row sweep without its three prunes,
+    """(value, certificate mask) of the row sweep without its four prunes,
     or None: every seed under the same cap, in the same order, each state
     at its least cost with the least predecessor in number order, and the
     best set replaced only by a strictly smaller one within the bound."""
     length, width, transposed = rowsweep._orient(n, m)
-    need, pop, supersets, leftovers = rowsweep._row_tables(width, kind)
+    need, pop, _, leftovers = rowsweep._row_tables(width, kind)
     states = rowsweep._row_moves(width, kind)[0]
-    number = {state: i for i, state in enumerate(states)}
     best = None
     cap = bound // length  # members of the first row, fixed by the first bound
     for c1 in range(1 << width):
@@ -542,26 +571,10 @@ def _reference_sweep(n, m, kind, bound):
         for u1 in rowsweep._subsets(need[c1]):
             for x1 in rowsweep._subsets(c1) if kind is PAIRED else (0,):
                 for w1 in leftovers[c1 & ~x1]:
-                    layers = [{number[(c1, u1, w1)]: (pop[c1], None)}]
-                    for _ in range(length - 1):
-                        nxt = {}
-                        for i, (cost, _) in sorted(layers[-1].items()):
-                            c, u, w = states[i]
-                            for c2 in supersets[u | w]:
-                                for w2 in leftovers[c2 & ~w]:
-                                    j = number[(c2, need[c2] & ~c, w2)]
-                                    if j not in nxt or cost + pop[c2] < nxt[j][0]:
-                                        nxt[j] = (cost + pop[c2], i)
-                        layers.append(nxt)
-                    r1 = need[c1] & ~u1
-                    closing = [
-                        (cost, j)
-                        for j, (cost, _) in layers[-1].items()
-                        if not states[j][1] & ~c1 and not r1 & ~states[j][0] and states[j][2] == x1
-                    ]
-                    if not closing or min(closing)[0] > bound:
+                    closing, layers = _seed_sweep(length, width, kind, (c1, u1, x1, w1))
+                    if not closing or closing[0][0] > bound:
                         continue
-                    cost, cur = min(closing)
+                    cost, cur = closing[0]
                     rows = []
                     for layer in layers[::-1]:
                         rows.append(states[cur][0])
@@ -569,6 +582,45 @@ def _reference_sweep(n, m, kind, bound):
                     best = (cost, rowsweep._rows_to_set(rows[::-1], length, width, transposed).mask)
                     bound = cost - 1
     return best
+
+
+@pytest.mark.parametrize("kind", [PLAIN, TOTAL, PAIRED])
+@pytest.mark.parametrize("width", [3, 4, 5])
+def test_closing_row_bound_is_admissible(width, kind):
+    # a seed's state, k rows before the end, is charged its members plus
+    # max(lb_k, lb_{k-1} + the members the closing row must hold), which
+    # may not exceed the least cost at which the seed closes
+    need, pop = rowsweep._row_tables(width, kind)[:2]
+    states = rowsweep._row_moves(width, kind)[0]
+    decided = 0
+    for length in range(width, 8):
+        k = length - 1
+        levels = [rowsweep._row_within(width, kind, j)[0] for j in (k, k - 1)]
+        for seed in rowsweep._row_seeds(width, kind, width):
+            c1, u1, x1, w1 = seed
+            i = states.index((c1, u1, w1))
+            lb, shorter = (next(r for r, mask in enumerate(level) if mask >> i & 1) for level in levels)
+            charged = pop[c1] + max(lb, shorter + pop[need[c1] & ~u1 | x1])
+            closing = _seed_sweep(length, width, kind, seed)[0]
+            assert not closing or charged <= closing[0][0], (length, seed)
+            decided += charged > pop[c1] + lb
+    # the closing row's term is larger than the bound alone on some seed
+    assert decided
+
+
+@pytest.mark.parametrize(
+    "width,kind",
+    [(w, kind) for w in (3, 4, 5, 6) for kind in (PLAIN, TOTAL)] + [(w, PAIRED) for w in (3, 4, 5)],
+)
+def test_closing_masks_match_the_per_state_definition(width, kind):
+    need = rowsweep._row_tables(width, kind)[0]
+    states = rowsweep._row_moves(width, kind)[0]
+    for c1, u1, x1, _ in rowsweep._row_seeds(width, kind, width):
+        r1 = need[c1] & ~u1
+        expected = sum(
+            1 << j for j, (c, u, w) in enumerate(states) if not u & ~c1 and not r1 & ~c and w == x1
+        )
+        assert rowsweep._closing(width, kind, c1, r1, x1) == expected, (c1, u1, x1)
 
 
 @pytest.mark.parametrize("kind", [PLAIN, TOTAL, PAIRED])
