@@ -162,8 +162,8 @@ class Certificate:
 
 def load_certificate(path: Path | str) -> Certificate:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CertificateError(f"cannot read {path}: {exc}") from exc
     return Certificate.from_json(text)
 

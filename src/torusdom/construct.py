@@ -14,12 +14,12 @@ each, and returns the smallest one that validates.
 Also provides the set transformation used to move witnesses between
 grid sizes: single-row projection (with matching repair for paired sets,
 on the induced subgraph that `validate` builds for its own
-perfect-matching check).  The projection cascade, which carries the
-block tiling rounded up to sides = 0 (mod 4) down to the requested grid,
-keeps each of its steps for the life of the process, keyed by the
-tiling, the rows and columns left and the kind.  Grids that round up to
-one tiling, as most cells of one `table` do, share the steps they have
-in common; a step that raises is not kept, so it raises again.
+perfect-matching check).  The projection cascade carries the block
+tiling rounded up to sides = 0 (mod 4) down to the requested grid a row
+at a time.  Each step is kept for the life of the process, keyed by the
+set it projects and the kind, so grids that round up to one tiling, as
+most cells of one `table` do, share their common steps; a step that
+raises is not kept, so it raises again.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import (
 )
 from .formulas import gamma_p_m3, gamma_t_m3, gamma_tp_m4
 from .matching import maximum_matching
-from .torus import TorusDims, TorusGraph, VertexSet, make_torus, set_slots
+from .torus import TorusDims, TorusGraph, VertexSet, make_torus
 from .validate import DominationKind, _induced_adj, is_dominating, is_total_dominating, satisfies
 
 
@@ -51,20 +51,6 @@ class ConstructionResult:
     claimed_cardinality: int
     kind: DominationKind
     provenance: str
-
-
-@dataclass(frozen=True)
-class ProjectionReport:
-    """Bookkeeping from one row-projection step.
-
-    A holds the rung indices occupied in the removed row, B those in
-    the row below it, and repair_vertices is what the matching repair
-    added (empty for total projections).
-    """
-
-    A: frozenset[int]
-    B: frozenset[int]
-    repair_vertices: VertexSet
 
 
 def _finish(
@@ -278,52 +264,44 @@ def _wrap_braided(n: int, m: int, kind: DominationKind):
     return sorted(base), (n + 2) * (m + 2) // 4 - 6, "wrap-braided"
 
 
+def _corner_trimmed_projected(n: int, m: int, kind: DominationKind):
+    # applies when m = 1, n = 2 (mod 4): the corner-trimmed pattern on
+    # n + 1 rows with its last row projected away
+    d = _kept_projection(construct_bound_pattern(n + 1, m, kind).vertex_set, kind)
+    return d.pairs(), len(d), "corner-trimmed-projected"
+
+
 _PATTERN_TABLE: dict[tuple[int, int], Callable] = {
     (0, 1): _row_extended,
     (1, 1): _corner_extended,
+    (1, 2): _corner_trimmed_projected,
     (1, 3): _corner_trimmed,
     (2, 2): _wrap_braided,
 }
 
 
 def _projection_cascade(n: int, m: int, kind: DominationKind) -> ConstructionResult:
-    """Shrink the rounded-up block tiling one row at a time down to (n, m).
-
-    Its steps are `_cascade_rows` and `_cascade_columns`, each built
-    once per process, so grids that round up to the same tiling share
-    the steps they have in common.  The tiling is checked once per kind:
-    by the first row step's input check, or by `_finish` when the
-    cascade has no step.
-    """
+    """Project the rounded-up block tiling down to n rows, then, on the
+    transpose, down to m columns, one `_kept_projection` per row.  The
+    tiling is checked once per kind: by the first step's input check, or
+    by `_finish` when the cascade has no step."""
     big_n, big_m = 4 * ((n + 3) // 4), 4 * ((m + 3) // 4)
-    d = _cascade_columns(big_n, big_m, n, m, kind).transposed()
-    bound = big_n * big_m // 4
-    if len(d) > bound:
-        raise ConstructionInvalidError(
-            f"projection cascade to {n}x{m} grew past {bound}"
-        )
+    d = VertexSet.from_vertices(TorusDims(big_n, big_m), _block_tiling(big_n, big_m))
+    for _ in range(big_n - n):
+        d = _kept_projection(d, kind)
+    d = d.transposed()
+    for _ in range(big_m - m):
+        d = _kept_projection(d, kind)
+    d = d.transposed()
     return _finish(d.dims, d.pairs(), len(d), kind, "projection-cascade")
 
 
 @functools.lru_cache(maxsize=None)
-def _cascade_rows(big_n: int, big_m: int, rows: int, kind: DominationKind) -> VertexSet:
-    """The block tiling of big_n x big_m projected down to `rows` rows."""
-    if rows == big_n:
-        return VertexSet.from_vertices(TorusDims(big_n, big_m), _block_tiling(big_n, big_m))
-    above = _cascade_rows(big_n, big_m, rows + 1, kind)
-    return project_column(make_torus(rows + 1, big_m), above, kind)[0]
-
-
-@functools.lru_cache(maxsize=None)
-def _cascade_columns(
-    big_n: int, big_m: int, rows: int, cols: int, kind: DominationKind
-) -> VertexSet:
-    """`_cascade_rows` at `rows`, projected down to `cols` columns, held
-    transposed (on the cols x rows grid)."""
-    if cols == big_m:
-        return _cascade_rows(big_n, big_m, rows, kind).transposed()
-    above = _cascade_columns(big_n, big_m, rows, cols + 1, kind)
-    return project_column(make_torus(cols + 1, rows), above, kind)[0]
+def _kept_projection(d: VertexSet, kind: DominationKind) -> VertexSet:
+    """`project_column` on d's own grid, kept for the process; keyed by
+    the set (whose dims name the grid) and the kind, since `TorusGraph`
+    hashes by identity."""
+    return project_column(make_torus(d.dims.n, d.dims.m), d, kind)[0]
 
 
 def construct_bound_pattern(n: int, m: int, kind: DominationKind) -> ConstructionResult:
@@ -343,11 +321,6 @@ def construct_bound_pattern(n: int, m: int, kind: DominationKind) -> Constructio
             return base
         return dataclasses.replace(base, kind=kind)
 
-    if (m % 4, n % 4) == (1, 2):
-        return _project_corner_trimmed(n, m, kind)
-    if (n % 4, m % 4) == (1, 2):
-        return _transposed(construct_bound_pattern(m, n, kind))
-
     dims = TorusDims(n, m)
     if (m % 4, n % 4) in _PATTERN_TABLE:
         verts, claimed, prov = _PATTERN_TABLE[(m % 4, n % 4)](n, m, kind)
@@ -362,18 +335,6 @@ def construct_bound_pattern(n: int, m: int, kind: DominationKind) -> Constructio
 def _transposed(res: ConstructionResult) -> ConstructionResult:
     moved = res.vertex_set.transposed()
     return _finish(moved.dims, moved.pairs(), res.claimed_cardinality, res.kind, res.provenance)
-
-
-@functools.lru_cache(maxsize=None)
-def _project_corner_trimmed(n: int, m: int, kind: DominationKind) -> ConstructionResult:
-    # m = 1, n = 2 (mod 4): one projection away from the corner-trimmed class,
-    # kept for the process like a cascade step, since m x n reaches it too
-    src = construct_bound_pattern(n + 1, m, kind)
-    d, _ = project_column(make_torus(n + 1, m), src.vertex_set, kind)
-    bound = src.claimed_cardinality
-    if len(d) > bound:
-        raise ConstructionInvalidError(f"projected corner pattern grew past {bound}")
-    return _finish(d.dims, d.pairs(), len(d), kind, "corner-trimmed-projected")
 
 
 def _repair_matching(
@@ -415,7 +376,7 @@ def _repair_matching(
 
 def project_column(
     g_big: TorusGraph, d: VertexSet, kind: DominationKind
-) -> tuple[VertexSet, ProjectionReport]:
+) -> tuple[VertexSet, VertexSet]:
     """Collapse the last row of the grid, pushing its members inward.
 
     Members of the removed row move onto the row below (or, where that
@@ -424,6 +385,8 @@ def project_column(
     input's size; for paired inputs the matching is then repaired,
     spending the size saved by the collapse on new partners and trading
     away redundant unmatched members when nothing is left to spend.
+    Returns the projected set and the members the repair added (empty
+    for total projections and for an empty last row).
     """
     if kind not in (DominationKind.TOTAL, DominationKind.PAIRED):
         raise InvalidInputError(f"projection handles total or paired, got {kind.value}")
@@ -435,29 +398,26 @@ def project_column(
 
     n = n1 - 1
     g = make_torus(n, m)
-    # bit rows of the removed row (A) and the row below it (B)
+    # bit rows of the removed row and the row below it
     low = d.mask & ((1 << n * m) - 1)
     a, b = d.mask >> n * m, low >> (n - 1) * m
-    A = frozenset(j + 1 for j in set_slots(a))
-    B = frozenset(j + 1 for j in set_slots(b))
     if not a:
         small = VertexSet(g.dims, low)
-        report = ProjectionReport(A, B, VertexSet(g.dims))
         if not satisfies(g, small, kind):
             raise CertificateError(f"projection to {n}x{m} lost {kind.value} domination")
-        return small, report
+        return small, VertexSet(g.dims)
 
     small = VertexSet(g.dims, low | (a & ~b) << (n - 1) * m | (a & b) << (n - 2) * m)
     if len(small) > len(d) or not is_total_dominating(g, small):
         raise CertificateError(f"projection to {n}x{m} grew or lost total domination")
 
     if kind is DominationKind.TOTAL:
-        return small, ProjectionReport(A, B, VertexSet(g.dims))
+        return small, VertexSet(g.dims)
 
     repaired, added = _repair_matching(g, small, len(d) - len(small))
     if len(repaired) > len(d) or not satisfies(g, repaired, DominationKind.PAIRED):
         raise CertificateError(f"matching repair on {n}x{m} grew or lost paired domination")
-    return repaired, ProjectionReport(A, B, added)
+    return repaired, added
 
 
 def best_upper_witness(n: int, m: int, kind: DominationKind) -> ConstructionResult:

@@ -240,6 +240,13 @@ def test_verify_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_verify_reports_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "b.json"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["verify", str(path)]) == 1
+    assert "error: cannot read" in capsys.readouterr().err
+
+
 def test_verify_fails_invalid_claim(tmp_path, capsys):
     cert = Certificate(4, 4, TOTAL, 2, ((1, 1), (1, 2)), "handmade")
     path = tmp_path / "bad.json"

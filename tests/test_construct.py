@@ -170,6 +170,19 @@ def test_projected_corner_pattern():
     assert paired.provenance == "corner-trimmed-projected"
 
 
+@pytest.mark.parametrize("kind", [TOTAL, PAIRED])
+@pytest.mark.parametrize("n, m", [(22, 21), (26, 25)])
+def test_projected_corner_pattern_folds_to_its_transpose(n, m, kind):
+    # one (1, 2)-class entry serves both orientations, beyond the witness
+    # pin's sides 3..20
+    res, flipped = construct_bound_pattern(n, m, kind), construct_bound_pattern(m, n, kind)
+    assert res.provenance == "corner-trimmed-projected"
+    assert flipped.vertex_set == res.vertex_set.transposed()
+    assert (flipped.provenance, flipped.claimed_cardinality, len(flipped.vertex_set)) == (
+        res.provenance, res.claimed_cardinality, len(res.vertex_set),
+    )
+
+
 # residues {n % 4, m % 4} -> (paired family, its catalog tag)
 _CORNER_PAIRED = {
     frozenset({1}): ("corner-extended-paired", "upper:corner-extended"),
@@ -238,26 +251,28 @@ def test_bound_pattern_cascade_bound_sweep():
                 assert res.claimed_cardinality <= quota
 
 
+def _last_two_rows(d):
+    """The rungs of d's members in its grid's last row (A), the row a
+    projection removes, and in the row above it (B)."""
+    n = d.dims.n
+    return frozenset(v.j for v in d if v.i == n), frozenset(v.j for v in d if v.i == n - 1)
+
+
 def test_projection_moves_last_row_inward():
     src = construct_m4(7).vertex_set
-    out, rep = project_column(make_torus(7, 4), src, PAIRED)
+    out, added = project_column(make_torus(7, 4), src, PAIRED)
     assert out.pairs() == [
         (1, 1), (1, 2), (3, 3), (3, 4), (5, 1), (5, 2), (6, 3), (6, 4),
     ]
-    assert rep.A == frozenset({3, 4})
-    assert rep.B == frozenset()
-    assert not rep.repair_vertices
+    assert _last_two_rows(src) == (frozenset({3, 4}), frozenset())
+    assert not added
     assert satisfies(make_torus(6, 4), out, PAIRED)
 
 
 def _clear_cascade_steps():
-    """Empty the caches that keep the projection cascade's steps and the
-    corner-trimmed projection from call to call, so the next cascade
-    builds each of its steps afresh."""
-    module = importlib.import_module("torusdom.construct")
-    module._cascade_rows.cache_clear()
-    module._cascade_columns.cache_clear()
-    module._project_corner_trimmed.cache_clear()
+    """Empty the cache that keeps projection steps from call to call, so
+    the next cascade or corner projection builds each of its steps afresh."""
+    importlib.import_module("torusdom.construct")._kept_projection.cache_clear()
 
 
 def test_projection_checks_raise_certificate_errors(monkeypatch):
@@ -272,6 +287,21 @@ def test_projection_checks_raise_certificate_errors(monkeypatch):
     monkeypatch.setattr(module, "satisfies", lambda g, d, kind: g.dims.n == 8)
     with pytest.raises(CertificateError, match="projection to 7x8"):
         best_upper_witness(7, 8, TOTAL)
+
+
+def test_a_step_that_raises_is_not_kept(monkeypatch):
+    # the step from 8x8 to 7x8 fails its output check on every call until
+    # the check is mended, and then builds what a cold cascade builds
+    module = importlib.import_module("torusdom.construct")
+    _clear_cascade_steps()
+    monkeypatch.setattr(module, "satisfies", lambda g, d, kind: g.dims.n == 8)
+    for _ in range(2):
+        with pytest.raises(CertificateError, match="projection to 7x8"):
+            best_upper_witness(7, 8, TOTAL)
+    monkeypatch.undo()
+    res = best_upper_witness(7, 8, TOTAL)
+    assert res.provenance == "projection-cascade"
+    assert res.vertex_set == _cold_cascade(7, 8, TOTAL)
 
 
 def _cold_cascade(n, m, kind):
@@ -299,8 +329,7 @@ def test_kept_cascade_steps_build_what_a_cold_cascade_builds(step):
         for kind in (TOTAL, PAIRED):
             res = module._projection_cascade(n, m, kind)
             assert res.vertex_set == _cold_cascade(n, m, kind), (n, m, kind)
-    assert module._cascade_rows.cache_info().hits > 0
-    assert module._cascade_columns.cache_info().hits > 0
+    assert module._kept_projection.cache_info().hits > 0
 
 
 def test_a_table_shares_cascade_steps_across_its_cells(monkeypatch, capsys):
@@ -344,18 +373,18 @@ def test_projection_with_empty_last_row_is_identity():
     d = VertexSet.from_vertices(
         g.dims, [(1, 1), (1, 2), (1, 3), (4, 1), (4, 2), (4, 3)]
     )
-    out, rep = project_column(g, d, TOTAL)
+    out, added = project_column(g, d, TOTAL)
     assert out.pairs() == d.pairs()
-    assert rep.A == frozenset()
-    assert not rep.repair_vertices
+    assert _last_two_rows(d)[0] == frozenset()
+    assert not added
 
 
 def test_projection_chain_from_block_tiling():
     d = construct_mod4(8, 8).vertex_set
-    d1, r1 = project_column(make_torus(8, 8), d, PAIRED)
-    assert len(d1) == 16 and r1.A == frozenset()
-    d2, r2 = project_column(make_torus(7, 8), d1, PAIRED)
-    assert r2.A == frozenset({3, 4, 7, 8})
+    d1, _ = project_column(make_torus(8, 8), d, PAIRED)
+    assert len(d1) == 16 and _last_two_rows(d)[0] == frozenset()
+    d2, _ = project_column(make_torus(7, 8), d1, PAIRED)
+    assert _last_two_rows(d1)[0] == frozenset({3, 4, 7, 8})
     assert len(d2) == 16
     assert satisfies(make_torus(6, 8), d2, PAIRED)
 
@@ -416,14 +445,12 @@ def test_projection_moves_the_last_row_like_the_coordinate_rule(monkeypatch):
             for kind in (TOTAL, PAIRED):
                 for _ in range(6):
                     d = _random_valid_set(rng, g, kind)
-                    A = frozenset(v.j for v in d if v.i == n1)
-                    B = frozenset(v.j for v in d if v.i == n)
+                    A, B = _last_two_rows(d)
                     moved = {tuple(v) for v in d if v.i <= n}
                     moved |= {(n - 1, j) for j in A & B} | {(n, j) for j in A - B}
                     expect = VertexSet.from_vertices(make_torus(n, m).dims, moved)
                     repaired.clear()
-                    out, rep = project_column(g, d, kind)
-                    assert (rep.A, rep.B) == (A, B), (n1, m, d.pairs())
+                    out, _ = project_column(g, d, kind)
                     if kind is PAIRED and A:
                         assert repaired == [expect], (n1, m, d.pairs())
                     else:
@@ -435,11 +462,11 @@ def test_projection_repair_stays_within_collapsed_budget():
     # removed row contained.
     for n1 in range(4, 14):
         d = construct_m3(n1, PAIRED).vertex_set
-        _, rep = project_column(make_torus(n1, 3), d, PAIRED)
-        assert len(rep.repair_vertices) <= len(rep.A)
+        _, added = project_column(make_torus(n1, 3), d, PAIRED)
+        assert len(added) <= len(_last_two_rows(d)[0])
         d = construct_m4(n1).vertex_set
-        _, rep = project_column(make_torus(n1, 4), d, PAIRED)
-        assert len(rep.repair_vertices) <= len(rep.A)
+        _, added = project_column(make_torus(n1, 4), d, PAIRED)
+        assert len(added) <= len(_last_two_rows(d)[0])
 
 
 def test_best_upper_witness_catalog():
