@@ -205,8 +205,8 @@ class ResultCache:
     def _read(self) -> dict:
         """`results.json` as stored, every entry kept, or {} when unreadable."""
         try:
-            doc = json.loads(self.path.read_text())
-        except (OSError, json.JSONDecodeError):
+            doc = json.loads(self.path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             return {}
         return doc if isinstance(doc, dict) else {}
 

@@ -6,10 +6,16 @@ pattern certificate), verify (re-validate a certificate file), solve
 cache when a stored certificate passes its checks), table
 (sweep a rectangle of instances to CSV or JSON) and audit (end-to-end
 cross-checks for one instance).  One table, `_COMMANDS`, holds each
-subcommand's help line, arguments and handler; an invocation builds only
-the parser of the subcommand it names, and the full tree only for
-top-level help, a missing or unknown command, or arguments its
-subcommand does not know.
+subcommand's help line, arguments and handler.  A canonical command line
+(exact `--flag value` pairs, store_true flags and verify's one
+positional, each at most once, every value of its type and choices, none
+starting with `-`) is read from that table without importing argparse.
+Every other line goes to argparse, which is the one source of help,
+usage text and usage errors: `-h`, abbreviated flags, `--flag=value`,
+values that start with `-`, `--`, unknown or repeated flags, bad or
+missing values.  It builds only the parser of the subcommand named, and
+the full tree only for top-level help, a missing or unknown command, or
+arguments its subcommand does not know.
 
 Exit codes: 0 success or verified, 1 verification failure, mismatch or
 unsupported request, 2 usage error, 3 instance too large.
@@ -17,14 +23,14 @@ unsupported request, 2 usage error, 3 instance too large.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import sys
 import time
 from collections import Counter
 from pathlib import Path
-from typing import Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional
 
 from .certificates import Certificate, ResultCache, load_certificate
 from .construct import ConstructionResult, best_upper_witness
@@ -47,6 +53,9 @@ from .validate import (
     domination_multiplicity,
     satisfies,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 _KINDS = {
     "plain": DominationKind.PLAIN,
@@ -72,11 +81,11 @@ def _parse_range(text: str) -> range:
     return range(v, v + 1)
 
 
-def _kind(args: argparse.Namespace) -> DominationKind:
+def _kind(args: SimpleNamespace) -> DominationKind:
     return _KINDS[args.kind]
 
 
-def cmd_value(args: argparse.Namespace) -> int:
+def cmd_value(args: SimpleNamespace) -> int:
     kind = _kind(args)
     report = upper_bounds(args.n, args.m, kind)
     name = f"{_GAMMA[kind]}({args.n},{args.m})"
@@ -90,7 +99,7 @@ def cmd_value(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_construct(args: argparse.Namespace) -> int:
+def cmd_construct(args: SimpleNamespace) -> int:
     kind = _kind(args)
     if kind is DominationKind.PLAIN:
         raise UnsupportedClassError(
@@ -110,7 +119,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     cert = load_certificate(args.file)
     claimed = _KINDS[args.kind] if args.kind else cert.kind
     try:
@@ -152,7 +161,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: SimpleNamespace) -> int:
     kind = _kind(args)
     t0 = time.perf_counter()
     cache = ResultCache(args.cache_dir)
@@ -192,7 +201,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: SimpleNamespace) -> int:
     kind = _kind(args)
     header = [
         "n", "m", "kind", "lower_bound", "exact", "method",
@@ -238,7 +247,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_audit(args: argparse.Namespace) -> int:
+def cmd_audit(args: SimpleNamespace) -> int:
     n, m = args.n, args.m
     checks: list[tuple[str, bool, str]] = []
 
@@ -303,62 +312,61 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return 0 if not failed else 1
 
 
-def _add_instance(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, required=True, help="first cycle length")
-    p.add_argument("--m", type=int, required=True, help="second cycle length")
+_INSTANCE = (
+    ("--n", {"type": int, "required": True, "help": "first cycle length"}),
+    ("--m", {"type": int, "required": True, "help": "second cycle length"}),
+)
+_KIND = ("--kind", {"choices": sorted(_KINDS), "default": "total"})
+_CACHE_DIR = ("--cache-dir", {"help": "result cache directory"})
 
-
-def _args_value(p: argparse.ArgumentParser) -> None:
-    _add_instance(p)
-    p.add_argument("--kind", choices=sorted(_KINDS), default="total")
-
-
-def _args_construct(p: argparse.ArgumentParser) -> None:
-    _add_instance(p)
-    p.add_argument("--kind", choices=sorted(_KINDS), default="total")
-    p.add_argument("--out", help="certificate path (default: stdout)")
-
-
-def _args_verify(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file", help="certificate path")
-    p.add_argument("--kind", choices=sorted(_KINDS), help="override the claimed kind")
-
-
-def _args_solve(p: argparse.ArgumentParser) -> None:
-    _add_instance(p)
-    p.add_argument("--kind", choices=sorted(_KINDS), default="total")
-    p.add_argument("--method", choices=["auto", "oracle", "dp"], default="auto")
-    p.add_argument("--out", help="write the certificate here")
-    p.add_argument("--cache-dir", help="result cache directory")
-    p.add_argument(
-        "--canonical",
-        action="store_true",
-        help="emit the lexicographically least certificate "
-        "(exact on small grids, rotation-orbit representative beyond)",
-    )
-
-
-def _args_table(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=_parse_range, required=True, help="value or range like 3..13")
-    p.add_argument("--m", type=_parse_range, required=True, help="value or range like 3..13")
-    p.add_argument("--kind", choices=sorted(_KINDS), default="total")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", help="output path (default: stdout)")
-
-
-def _args_audit(p: argparse.ArgumentParser) -> None:
-    _add_instance(p)
-    p.add_argument("--cache-dir", help="result cache directory")
-
-
-# name -> (help line, adds the arguments, handler), in the order of the help
+# name -> (help line, arguments, handler), in the order of the help; each
+# argument is a flag (or the positional's name) and its add_argument keywords
 _COMMANDS = {
-    "value": ("closed-form value or bound interval", _args_value, cmd_value),
-    "construct": ("emit a pattern certificate", _args_construct, cmd_construct),
-    "verify": ("re-validate a certificate file", _args_verify, cmd_verify),
-    "solve": ("exact value with certificate", _args_solve, cmd_solve),
-    "table": ("sweep instances to csv or json", _args_table, cmd_table),
-    "audit": ("end-to-end cross-checks", _args_audit, cmd_audit),
+    "value": ("closed-form value or bound interval", (*_INSTANCE, _KIND), cmd_value),
+    "construct": (
+        "emit a pattern certificate",
+        (*_INSTANCE, _KIND, ("--out", {"help": "certificate path (default: stdout)"})),
+        cmd_construct,
+    ),
+    "verify": (
+        "re-validate a certificate file",
+        (
+            ("file", {"help": "certificate path"}),
+            ("--kind", {"choices": sorted(_KINDS), "help": "override the claimed kind"}),
+        ),
+        cmd_verify,
+    ),
+    "solve": (
+        "exact value with certificate",
+        (
+            *_INSTANCE,
+            _KIND,
+            ("--method", {"choices": ["auto", "oracle", "dp"], "default": "auto"}),
+            ("--out", {"help": "write the certificate here"}),
+            _CACHE_DIR,
+            (
+                "--canonical",
+                {
+                    "action": "store_true",
+                    "help": "emit the lexicographically least certificate "
+                    "(exact on small grids, rotation-orbit representative beyond)",
+                },
+            ),
+        ),
+        cmd_solve,
+    ),
+    "table": (
+        "sweep instances to csv or json",
+        (
+            ("--n", {"type": _parse_range, "required": True, "help": "value or range like 3..13"}),
+            ("--m", {"type": _parse_range, "required": True, "help": "value or range like 3..13"}),
+            _KIND,
+            ("--format", {"choices": ["csv", "json"], "default": "csv"}),
+            ("--out", {"help": "output path (default: stdout)"}),
+        ),
+        cmd_table,
+    ),
+    "audit": ("end-to-end cross-checks", (*_INSTANCE, _CACHE_DIR), cmd_audit),
 }
 
 
@@ -366,35 +374,92 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The parser of one subcommand, named as in the full tree, or the
     full tree when `command` names none (top-level help, a missing or
     unknown command)."""
-    if command in _COMMANDS:
-        _, add_arguments, handler = _COMMANDS[command]
-        parser = argparse.ArgumentParser(prog=f"torusdom {command}")
-        add_arguments(parser)
+    import argparse
+
+    def add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+        _, arguments, handler = _COMMANDS[name]
+        for flag, options in arguments:
+            parser.add_argument(flag, **options)
         parser.set_defaults(func=handler)
+
+    if command in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"torusdom {command}")
+        add_arguments(parser, command)
         return parser
     parser = argparse.ArgumentParser(
         prog="torusdom",
         description="Total and paired domination numbers of toroidal meshes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments, handler) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        add_arguments(p)
-        p.set_defaults(func=handler)
+    for name, (help_line, _, _) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line), name)
     return parser
+
+
+def _read(argv: list[str]) -> Optional[SimpleNamespace]:
+    """What `build_parser(argv[0])` would parse from a canonical command
+    line, or None for any other.  Canonical: a subcommand, then each of
+    its arguments at most once, as `--flag value` with the exact flag,
+    a bare store_true flag or the positional value; no value empty or
+    starting with `-`, each converted by its `type` and in its `choices`,
+    none required left out."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, arguments, handler = _COMMANDS[argv[0]]
+    spec = dict(arguments)
+    given: dict[str, object] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            flag = token
+            if flag not in spec or flag in given:
+                return None
+            if spec[flag].get("action") == "store_true":
+                given[flag] = True
+                continue
+            text = next(tokens, "")
+        else:
+            flag = next((f for f in spec if not f.startswith("-") and f not in given), None)
+            if flag is None:
+                return None
+            text = token
+        options = spec[flag]
+        if not text or text.startswith("-"):
+            return None
+        try:
+            value = options.get("type", str)(text)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        given[flag] = value
+    namespace = {}
+    for flag, options in arguments:
+        if flag not in given and options.get("required", not flag.startswith("-")):
+            return None
+        default = options.get("default", False if options.get("action") == "store_true" else None)
+        dest = flag[2:].replace("-", "_") if flag.startswith("--") else flag
+        namespace[dest] = given.get(flag, default)
+    return SimpleNamespace(**namespace, func=handler)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    try:
-        args, extra = build_parser(command).parse_known_args(argv[1:] if command else argv)
-        if extra:
-            # the full tree reports leftovers under the top-level usage
-            build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _read(argv)
+    if args is None:
+        # help, usage errors and every other form are argparse's
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        try:
+            parsed, extra = build_parser(command).parse_known_args(
+                argv[1:] if command else argv
+            )
+            if extra:
+                # the full tree reports leftovers under the top-level usage
+                build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        args = SimpleNamespace(**vars(parsed))
     try:
         return args.func(args)
     except (

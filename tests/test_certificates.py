@@ -219,10 +219,11 @@ def test_cache_keeps_every_key_of_concurrent_writers(tmp_path):
             assert cache.get(n, m, TOTAL, "auto") == (n, "d" * 64)
 
 
-def test_cache_survives_corrupted_store(tmp_path):
+@pytest.mark.parametrize("stored", [b"{ not json", b"\xff\xfe"], ids=["not json", "not utf-8"])
+def test_cache_survives_corrupted_store(tmp_path, stored):
     cache = ResultCache(tmp_path)
     cache.path.parent.mkdir(parents=True, exist_ok=True)
-    cache.path.write_text("{ not json")
+    cache.path.write_bytes(stored)
     assert cache.get(3, 3, TOTAL, "auto") is None
     cache.put(3, 3, TOTAL, "auto", 3, "b" * 64)
     assert cache.get(3, 3, TOTAL, "auto") == (3, "b" * 64)

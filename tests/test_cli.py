@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from torusdom.certificates import Certificate, ResultCache, load_certificate
+from torusdom import cli
 from torusdom.cli import build_parser, main
 from torusdom.errors import ConstructionInvalidError
 from torusdom.solve import find_efficient_tds, solve, solve_oracle
@@ -76,6 +77,136 @@ def test_help_exits_zero(capsys):
     assert "{value,construct,verify,solve,table,audit}" in capsys.readouterr().out
     assert main(["solve", "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: torusdom solve [-h]")
+
+
+def _tokens(flag, options):
+    """A canonical form of one table argument, then forms whose value
+    argparse refuses or that only argparse reads."""
+    if options.get("action") == "store_true":
+        return [flag], []
+    if not flag.startswith("-"):
+        return ["cert.json"], [["-cert.json"], [""]]
+    if "choices" in options:
+        good, bad = options["choices"][-1], ["quad", "-x"]
+    elif options.get("type") is int:
+        good, bad = "5", ["x", "-3", "5.0"]
+    elif "type" in options:
+        good, bad = "3..5", ["3..x", "-3"]
+    else:
+        good, bad = "out.json", ["-o", ""]
+    return [flag, good], [[flag, b] for b in bad] + [[f"{flag}={good}"], [flag]]
+
+
+def _generated_argvs(command):
+    arguments = cli._COMMANDS[command][1]
+    forms = [_tokens(flag, options) for flag, options in arguments]
+    for chosen in range(1 << len(arguments)):
+        picked = [forms[i] for i in range(len(arguments)) if chosen >> i & 1]
+        good = [form[0] for form in picked]
+        for order in (good, good[::-1], good[1:] + good[:1]):
+            yield sum(order, []), True
+        for i, (_, bad) in enumerate(picked):
+            for tokens in bad:
+                yield sum(good[:i] + [tokens] + good[i + 1:], []), False
+        if good:
+            for extra in (good[0], ["--"], ["-h"], ["--bogus"], ["extra"]):
+                yield sum(good, []) + extra, False
+    every = [form[0] for form in forms]
+    for i, (flag, _) in enumerate(arguments):
+        if flag.startswith("--") and len(flag) > 4:
+            abbreviated = [flag[:4], *every[i][1:]]
+            yield sum(every[:i] + [abbreviated] + every[i + 1:], []), False
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_the_reader_parses_what_argparse_parses(command):
+    # every line the reader accepts is parsed as argparse parses it, every
+    # canonical line argparse accepts is read, and every line argparse
+    # refuses is left to argparse
+    read = 0
+    for argv, canonical in _generated_argvs(command):
+        ours = cli._read([command, *argv])
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                theirs, extra = build_parser(command).parse_known_args(argv)
+        except SystemExit:
+            theirs = extra = None
+        if theirs is None or extra:
+            assert ours is None, argv
+        elif ours is not None:
+            assert vars(ours) == vars(theirs), argv
+            read += 1
+        else:
+            assert not canonical, argv
+    assert read > 0
+
+
+@pytest.mark.parametrize(
+    "fallback, canonical",
+    [
+        (["value", "--n", "10", "--m", "3", "--kind=paired"],
+         ["value", "--n", "10", "--m", "3", "--kind", "paired"]),
+        (["value", "--n", "4", "--m", "3", "--kind", "plain", "--n", "10", "--kind", "paired"],
+         ["value", "--n", "10", "--m", "3", "--kind", "paired"]),
+        (["value", "--n", "6", "--m", "6", "--k", "paired"],
+         ["value", "--n", "6", "--m", "6", "--kind", "paired"]),
+        (["solve", "--n", "5", "--m", "5", "--kind", "paired", "--can"],
+         ["solve", "--n", "5", "--m", "5", "--kind", "paired", "--canonical"]),
+        (["verify", "--", "bench/data/certs/61x61-total.json"],
+         ["verify", "bench/data/certs/61x61-total.json"]),
+    ],
+)
+def test_forms_only_argparse_reads_run_as_their_canonical_line(fallback, canonical, capsys, monkeypatch):
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    assert cli._read(fallback) is None and cli._read(canonical) is not None
+    outcomes = []
+    for argv in (fallback, canonical):
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        # a solve line ends in the time it took
+        outcomes.append((rc, re.sub(r"\d+\.\d{3}s\]", "", out), err))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 0 and not outcomes[0][2]
+
+
+def test_usage_errors_of_forms_only_argparse_reads(capsys):
+    # a negative value is argparse's to read, and the side check refuses it
+    assert main(["value", "--n", "-3", "--m", "4"]) == 2
+    assert capsys.readouterr() == ("", "error: side must be >= 3, got -3\n")
+    for argv, message in (
+        (["value", "--n", "10", "--m", "3", "--"], "torusdom: error: unrecognized arguments: --\n"),
+        (["value", "--", "--n", "10", "--m", "3"],
+         "torusdom value: error: the following arguments are required: --n, --m\n"),
+        (["value", "--n", "10", "--m", "3", "--kind=quad"], "invalid choice: 'quad'"),
+        (["value", "--n=x", "--m", "3"], "argument --n: invalid int value: 'x'"),
+        (["solve", "--n", "5", "--m", "5", "--canonical", "--canonical", "--c", "d"],
+         "ambiguous option: --c could match --cache-dir, --canonical"),
+    ):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("usage: torusdom") and message in err
+
+
+def test_a_well_formed_command_never_loads_argparse(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    probe = (
+        "import sys; before = set(sys.modules); from torusdom.cli import main; main(sys.argv[1:]); "
+        "print(*sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - before)))"
+    )
+
+    def loaded(*args):
+        run = subprocess.run(
+            [sys.executable, "-c", probe, *args],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        return run.stdout.splitlines()[-1].split()
+
+    solve_line = ["solve", "--n", "6", "--m", "4", "--cache-dir", "cache", "--out", "c.json"]
+    assert loaded(*solve_line) == []
+    assert loaded("verify", "c.json", "--kind", "total") == []
+    # the probe sees argparse when a form needs it
+    assert "argparse" in loaded("verify", "c.json", "--kind=total")
 
 
 def test_construct_to_stdout(capsys):
