@@ -33,12 +33,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Optional
 
+from . import __version__ as TOOL_VERSION
 from .errors import CertificateError, InstanceTooLargeError, InvalidDimensionsError
 from .torus import TorusDims, VertexSet, make_torus
 from .validate import DominationKind, satisfies
 
 SCHEMA_VERSION = 1
-TOOL_VERSION = "0.1.0"
 _DIGEST = re.compile("[0-9a-f]{64}")
 
 

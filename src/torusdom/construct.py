@@ -1,15 +1,16 @@
 """Explicit dominating-set patterns, keyed by congruence class.
 
-Each builder assembles a pattern from closed-form index ranges, then
-re-validates it against the claimed domination kind and cardinality
-before returning.  A pattern that fails its own contract raises
-ConstructionInvalidError; nothing is silently patched.  A builder or
-transformation that breaks its own invariant (overlapping parts, a
-projection that loses domination) raises CertificateError, which
-best_upper_witness does not catch, also under python -O.  Every named
-family validates on its residue class at the size the bound catalog
-claims; best_upper_witness still builds each applicable family, once
-each, and returns the smallest one that validates.
+Each builder assembles a pattern from closed-form index ranges, and
+`_finish` re-validates it against the domination kind and the size it
+must have before returning.  A residue-class family's size and name
+come from `formulas.class_bound`: its builder gives only cells, and
+`construct_bound_pattern` holds them to the catalog's size.  A pattern
+that fails its own contract raises ConstructionInvalidError; nothing is
+silently patched.  A builder or transformation that breaks its own
+invariant (overlapping parts, a projection that loses domination)
+raises CertificateError, which best_upper_witness does not catch, also
+under python -O.  best_upper_witness builds each applicable family,
+once each, and returns the smallest one that validates.
 
 Also provides the set transformation used to move witnesses between
 grid sizes: single-row projection (with matching repair for paired sets,
@@ -37,7 +38,7 @@ from .errors import (
     InvalidDimensionsError,
     InvalidInputError,
 )
-from .formulas import gamma_p_m3, gamma_t_m3, gamma_tp_m4
+from .formulas import class_bound, gamma_p_m3, gamma_t_m3, gamma_tp_m4
 from .matching import maximum_matching
 from .torus import TorusDims, TorusGraph, VertexSet, make_torus
 from .validate import DominationKind, _induced_adj, is_dominating, is_total_dominating, satisfies
@@ -45,12 +46,15 @@ from .validate import DominationKind, _induced_adj, is_dominating, is_total_domi
 
 @dataclass(frozen=True)
 class ConstructionResult:
-    """A validated pattern together with its claimed size and origin."""
+    """A validated pattern together with its kind and origin."""
 
     vertex_set: VertexSet
-    claimed_cardinality: int
     kind: DominationKind
     provenance: str
+
+    @property
+    def claimed_cardinality(self) -> int:
+        return len(self.vertex_set)
 
 
 def _finish(
@@ -75,7 +79,7 @@ def _finish(
         raise ConstructionInvalidError(
             f"{provenance} on {dims.n}x{dims.m}: set fails {kind.value} validation"
         )
-    return ConstructionResult(vset, claimed, kind, provenance)
+    return ConstructionResult(vset, kind, provenance)
 
 
 def _block_tiling(n: int, m: int) -> list[tuple[int, int]]:
@@ -173,7 +177,7 @@ def _row_extended(n: int, m: int, kind: DominationKind):
     verts = construct_base_tile(n, m).pairs()
     for j in range(1, m - 1, 4):
         verts += [(n, j), (n, j + 1)]
-    return verts, (n + 1) * m // 4, "row-extended"
+    return verts, (), "row-extended"
 
 
 def _corner_rail(n: int, m: int) -> list[tuple[int, int]]:
@@ -193,7 +197,6 @@ _MIXED_TILE = frozenset({
 
 def _corner_extended(n: int, m: int, kind: DominationKind):
     # applies when m = 1, n = 1 (mod 4)
-    claimed = (n + 1) * (m + 1) // 4
     if kind is DominationKind.PAIRED:
         # mixed tiling on the first n - 1 rows and m - 1 rungs, pairs at
         # 2, 3 (mod 4) along the last row and rung, two corner cells
@@ -206,20 +209,15 @@ def _corner_extended(n: int, m: int, kind: DominationKind):
         verts += [(i, m) for i in range(1, n) if i % 4 in (2, 3)]
         verts += [(n, j) for j in range(1, m) if j % 4 in (2, 3)]
         verts += [(n - 4, m), (n - 1, m)]
-        return verts, claimed + 1, "corner-extended-paired"
-    # horizontal block tiling, its pairs continued along the last row,
-    # a rail of diagonal cells down the last two rungs and the corner
-    verts = construct_base_tile(n, m).pairs()
-    for j in range(1, m - 1, 4):
-        verts += [(n, j), (n, j + 1)]
-    verts += _corner_rail(n, m)
-    verts.append((n, m))
-    return verts, claimed, "corner-extended-total"
+        return verts, (), "corner-extended-paired"
+    # the row-extended pattern, a rail of diagonal cells down the last
+    # two rungs and the corner
+    verts = _row_extended(n, m, kind)[0] + _corner_rail(n, m) + [(n, m)]
+    return verts, (), "corner-extended-total"
 
 
 def _corner_trimmed(n: int, m: int, kind: DominationKind):
     # applies when m = 1, n = 3 (mod 4)
-    claimed = (n + 1) * (m + 1) // 4 - 2
     if kind is DominationKind.PAIRED:
         # vertical-pair block tiling on n + 1 rows and the first m - 1
         # rungs, pairs at rows 1, 2 (mod 4) of the last rung; row n - 2
@@ -233,50 +231,38 @@ def _corner_trimmed(n: int, m: int, kind: DominationKind):
         tall += [(i, m) for i in range(1, n + 2) if i % 4 in (1, 2)]
         verts = [(i - (i > n - 2), j) for i, j in tall if i != n - 2]
         verts += [(n - 3, j) for j in range(5, m - 3, 4)]
-        return verts, claimed, "corner-trimmed-paired"
+        return verts, (), "corner-trimmed-paired"
     # horizontal block tiling and the corner rail, trimmed at three cells
-    parts = construct_base_tile(n, m).pairs() + _corner_rail(n, m)
-    base = set(parts)
-    if len(base) != len(parts):
-        raise CertificateError("corner-trimmed parts overlap")
-    for v in ((n, m - 2), (n, m), (2, m - 1)):
-        if v not in base:
-            raise ConstructionInvalidError(f"corner-trimmed removal {v} absent on {n}x{m}")
-        base.discard(v)
-    return sorted(base), claimed - 1, "corner-trimmed-total"
+    verts = construct_base_tile(n, m).pairs() + _corner_rail(n, m)
+    return verts, ((n, m - 2), (n, m), (2, m - 1)), "corner-trimmed-total"
 
 
 def _wrap_braided(n: int, m: int, kind: DominationKind):
     # applies when m = 2, n = 2 (mod 4)
-    parts = construct_base_tile(n, m).pairs()
+    verts = construct_base_tile(n, m).pairs()
     for i in range(1, n - 1, 4):
-        parts += [(i, m - 2), (i, m - 1), (i + 2, m - 1), (i + 2, m)]
+        verts += [(i, m - 2), (i, m - 1), (i + 2, m - 1), (i + 2, m)]
     for j in range(1, m - 1, 4):
-        parts += [(n - 1, j), (n - 1, j + 1), (n, j + 2), (n, j + 3)]
-    parts.append((n, m - 1))
-    base = set(parts)
-    if len(base) != len(parts):
-        raise CertificateError("wrap-braided parts overlap")
-    for v in ((1, m - 2), (1, m - 1), (n, m - 3)):
-        if v not in base:
-            raise ConstructionInvalidError(f"wrap-braided removal {v} absent on {n}x{m}")
-        base.discard(v)
-    return sorted(base), (n + 2) * (m + 2) // 4 - 6, "wrap-braided"
+        verts += [(n - 1, j), (n - 1, j + 1), (n, j + 2), (n, j + 3)]
+    verts.append((n, m - 1))
+    return verts, ((1, m - 2), (1, m - 1), (n, m - 3)), "wrap-braided"
 
 
 def _corner_trimmed_projected(n: int, m: int, kind: DominationKind):
     # applies when m = 1, n = 2 (mod 4): the corner-trimmed pattern on
     # n + 1 rows with its last row projected away
     d = _kept_projection(construct_bound_pattern(n + 1, m, kind).vertex_set, kind)
-    return d.pairs(), len(d), "corner-trimmed-projected"
+    return d.pairs(), (), "corner-trimmed-projected"
 
 
-_PATTERN_TABLE: dict[tuple[int, int], Callable] = {
-    (0, 1): _row_extended,
-    (1, 1): _corner_extended,
-    (1, 2): _corner_trimmed_projected,
-    (1, 3): _corner_trimmed,
-    (2, 2): _wrap_braided,
+# catalog tag -> builder of (cells, removed cells, provenance) on the
+# orientation that `class_bound` names
+_PATTERN_TABLE: dict[str, Callable] = {
+    "upper:row-extended": _row_extended,
+    "upper:corner-extended": _corner_extended,
+    "upper:corner-trimmed-projected": _corner_trimmed_projected,
+    "upper:corner-trimmed": _corner_trimmed,
+    "upper:wrap-braided": _wrap_braided,
 }
 
 
@@ -307,9 +293,10 @@ def _kept_projection(d: VertexSet, kind: DominationKind) -> VertexSet:
 def construct_bound_pattern(n: int, m: int, kind: DominationKind) -> ConstructionResult:
     """Best covering pattern for grids with both sides >= 5.
 
-    Dispatches on the residues of (m, n) modulo 4, trying the stated
-    orientation first and the transpose second; residue pairs without a
-    pattern of their own fall back to the projection cascade.
+    Asks `class_bound` for the stated orientation, then the transpose;
+    the first that names a family builds it, drops its removed cells,
+    turns it back if transposed and holds it to the catalog's size.
+    Residue pairs with no family fall back to the projection cascade.
     """
     if n < 5 or m < 5:
         raise InvalidDimensionsError(f"bound patterns need both sides >= 5, got {n}x{m}")
@@ -321,20 +308,28 @@ def construct_bound_pattern(n: int, m: int, kind: DominationKind) -> Constructio
             return base
         return dataclasses.replace(base, kind=kind)
 
-    dims = TorusDims(n, m)
-    if (m % 4, n % 4) in _PATTERN_TABLE:
-        verts, claimed, prov = _PATTERN_TABLE[(m % 4, n % 4)](n, m, kind)
-        return _finish(dims, verts, claimed, kind, prov)
-    if (n % 4, m % 4) in _PATTERN_TABLE:
-        verts, claimed, prov = _PATTERN_TABLE[(n % 4, m % 4)](m, n, kind)
-        flipped = [(j, i) for i, j in verts]
-        return _finish(dims, flipped, claimed, kind, prov)
+    for rows, cols in ((n, m), (m, n)):
+        bound = class_bound(rows, cols, kind is DominationKind.PAIRED)
+        if bound is None:
+            continue
+        size, tag = bound
+        verts, removed, prov = _PATTERN_TABLE[tag](rows, cols, kind)
+        kept = set(verts)
+        if len(kept) != len(verts):
+            raise CertificateError(f"{prov}: overlapping pattern parts")
+        for v in removed:
+            if v not in kept:
+                raise ConstructionInvalidError(f"{prov} removal {v} absent on {rows}x{cols}")
+            kept.discard(v)
+        if rows != n:
+            kept = {(j, i) for i, j in kept}
+        return _finish(TorusDims(n, m), kept, size, kind, prov)
     return _projection_cascade(n, m, kind)
 
 
 def _transposed(res: ConstructionResult) -> ConstructionResult:
     moved = res.vertex_set.transposed()
-    return _finish(moved.dims, moved.pairs(), res.claimed_cardinality, res.kind, res.provenance)
+    return _finish(moved.dims, moved.pairs(), len(moved), res.kind, res.provenance)
 
 
 def _repair_matching(

@@ -1,12 +1,11 @@
 """Closed-form domination numbers and the upper-bound catalog.
 
 Exact values exist for width 3, width 4 (either orientation) and for
-grids with both sides divisible by 4.  For everything else the catalog
-reports the numeric bounds claimed per congruence class, tagged with
-the provenance names used by the construction module.  The catalog is
-purely numeric: a bound's presence does not by itself certify that
-the matching explicit pattern validates (the construct module checks
-each pattern it builds), and audits compare bounds against exact solves.
+grids with both sides divisible by 4.  For everything else
+`class_bound` is the one map from a residue class to its pattern
+family's claimed size and tag; the construct module builds that family
+and `_finish` refuses it at any other size, and audits compare bounds
+against exact solves.
 """
 
 from __future__ import annotations
@@ -88,24 +87,21 @@ def lower_bound_paired(n: int, m: int) -> int:
     return lo + lo % 2
 
 
-def _class_bounds(n: int, m: int, paired: bool) -> list[tuple[int, str]]:
-    """Per-congruence-class claimed bounds, for one orientation (width m)."""
-    out: list[tuple[int, str]] = []
+def class_bound(n: int, m: int, paired: bool) -> Optional[tuple[int, str]]:
+    """The claimed bound and family tag of width m's residue class, or None."""
     a, b = m % 4, n % 4
+    bump = int(paired)  # a corner family's paired set takes one cell more
     if (a, b) == (0, 1):
-        out.append(((n + 1) * m // 4, "upper:row-extended"))
-    elif (a, b) == (1, 1):
-        base = (n + 1) * (m + 1) // 4
-        out.append((base + 1 if paired else base, "upper:corner-extended"))
-    elif (a, b) == (1, 3):
-        base = (n + 1) * (m + 1) // 4
-        out.append((base - 2 if paired else base - 3, "upper:corner-trimmed"))
-    elif (a, b) == (1, 2):
-        base = (n + 2) * (m + 1) // 4
-        out.append((base - 2 if paired else base - 3, "upper:corner-trimmed-projected"))
-    elif (a, b) == (2, 2):
-        out.append(((n + 2) * (m + 2) // 4 - 6, "upper:wrap-braided"))
-    return out
+        return (n + 1) * m // 4, "upper:row-extended"
+    if (a, b) == (1, 1):
+        return (n + 1) * (m + 1) // 4 + bump, "upper:corner-extended"
+    if (a, b) == (1, 3):
+        return (n + 1) * (m + 1) // 4 - 3 + bump, "upper:corner-trimmed"
+    if (a, b) == (1, 2):
+        return (n + 2) * (m + 1) // 4 - 3 + bump, "upper:corner-trimmed-projected"
+    if (a, b) == (2, 2):
+        return (n + 2) * (m + 2) // 4 - 6, "upper:wrap-braided"
+    return None
 
 
 def upper_bounds(n: int, m: int, kind: DominationKind) -> BoundReport:
@@ -118,8 +114,8 @@ def upper_bounds(n: int, m: int, kind: DominationKind) -> BoundReport:
     """
     _check_side(n)
     _check_side(m)
-    if not isinstance(kind, DominationKind):
-        raise InvalidInputError(f"unknown kind {kind!r}")
+    if kind not in (DominationKind.PLAIN, DominationKind.TOTAL, DominationKind.PAIRED):
+        raise InvalidInputError(f"bounds cover plain, total or paired, got {kind!r}")
     paired = kind is DominationKind.PAIRED
     witness_kind = DominationKind.PAIRED if paired else DominationKind.TOTAL
 
@@ -129,8 +125,9 @@ def upper_bounds(n: int, m: int, kind: DominationKind) -> BoundReport:
         bounds.append((closed_form, "upper:closed-form"))
     bounds.append((4 * _ceil_div(n, 4) * _ceil_div(m, 4), "upper:rounded-tiling"))
     if n >= 5 and m >= 5:
-        bounds += _class_bounds(n, m, paired)
-        bounds += _class_bounds(m, n, paired)
+        for bound in (class_bound(n, m, paired), class_bound(m, n, paired)):
+            if bound is not None:
+                bounds.append(bound)
 
     if kind is DominationKind.PLAIN:
         lower = _ceil_div(n * m, 5)

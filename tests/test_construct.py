@@ -183,31 +183,53 @@ def test_projected_corner_pattern_folds_to_its_transpose(n, m, kind):
     )
 
 
-# residues {n % 4, m % 4} -> (paired family, its catalog tag)
-_CORNER_PAIRED = {
-    frozenset({1}): ("corner-extended-paired", "upper:corner-extended"),
-    frozenset({1, 3}): ("corner-trimmed-paired", "upper:corner-trimmed"),
-    frozenset({1, 2}): ("corner-trimmed-projected", "upper:corner-trimmed-projected"),
+# residues {n % 4, m % 4} -> (catalog tag, total family, paired family)
+_CLASS_FAMILIES = {
+    frozenset({0, 1}): ("upper:row-extended", "row-extended", "row-extended"),
+    frozenset({1}): ("upper:corner-extended", "corner-extended-total", "corner-extended-paired"),
+    frozenset({1, 3}): ("upper:corner-trimmed", "corner-trimmed-total", "corner-trimmed-paired"),
+    frozenset({1, 2}): (
+        "upper:corner-trimmed-projected", "corner-trimmed-projected", "corner-trimmed-projected",
+    ),
+    frozenset({2}): ("upper:wrap-braided", "wrap-braided", "wrap-braided"),
 }
 
 
-def test_corner_paired_families_meet_catalog_bounds():
-    # beyond the acceptance sweep's sides, and held to the catalog's
-    # numbers rather than to each builder's own claim
+def test_class_families_meet_catalog_bounds():
+    # beyond the acceptance sweep's sides, and held to the numbers
+    # `upper_bounds` prints
     checked = 0
     for n in range(22, 42):
         for m in range(22, 42):
-            family = _CORNER_PAIRED.get(frozenset({n % 4, m % 4}))
+            family = _CLASS_FAMILIES.get(frozenset({n % 4, m % 4}))
             if family is None:
                 continue
-            prov, tag = family
-            catalog = {t: v for v, t in upper_bounds(n, m, PAIRED).upper_bounds}
-            res = construct_bound_pattern(n, m, PAIRED)
-            assert res.provenance == prov, f"{n}x{m}"
-            assert len(res.vertex_set) == catalog[tag], f"{n}x{m}"
-            assert satisfies(make_torus(n, m), res.vertex_set, PAIRED), f"{n}x{m}"
-            checked += 1
-    assert checked == 125
+            tag, *provenances = family
+            for kind, prov in zip((TOTAL, PAIRED), provenances):
+                catalog = {t: v for v, t in upper_bounds(n, m, kind).upper_bounds}
+                res = construct_bound_pattern(n, m, kind)
+                assert res.provenance == prov, f"{n}x{m} {kind.value}"
+                assert len(res.vertex_set) == catalog[tag], f"{n}x{m} {kind.value}"
+                assert satisfies(make_torus(n, m), res.vertex_set, kind), f"{n}x{m} {kind.value}"
+                checked += 1
+    assert checked == 400
+
+
+def test_a_family_off_its_catalog_size_falls_back_to_the_cascade(monkeypatch):
+    module = importlib.import_module("torusdom.construct")
+    real = module.class_bound
+
+    def one_short(n, m, paired):
+        bound = real(n, m, paired)
+        return None if bound is None else (bound[0] - 1, bound[1])
+
+    monkeypatch.setattr(module, "class_bound", one_short)
+    for kind in (TOTAL, PAIRED):
+        with pytest.raises(ConstructionInvalidError, match="claimed"):
+            construct_bound_pattern(5, 5, kind)
+        res = best_upper_witness(5, 5, kind)
+        assert res.provenance == "projection-cascade"
+        assert satisfies(make_torus(5, 5), res.vertex_set, kind)
 
 
 def test_wrap_braided_pattern():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from torusdom.errors import InvalidDimensionsError, InvalidInputError
@@ -140,6 +145,19 @@ def test_upper_bounds_plain_uses_fifth_lower_bound():
 def test_upper_bounds_reject_bad_kind():
     with pytest.raises(InvalidInputError):
         upper_bounds(5, 5, "paired")
+    # the total catalog says nothing of efficient sets: none exists on 6x6
+    with pytest.raises(InvalidInputError):
+        upper_bounds(6, 6, DominationKind.EFFICIENT_TOTAL)
+
+
+def test_importing_formulas_leaves_certificates_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    probe = "import sys, torusdom.formulas; print('torusdom.certificates' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False"]
 
 
 def test_upper_bounds_sweep_is_coherent():
