@@ -13,7 +13,7 @@ The cache is one JSON file, `results.json`, mapping "NxM:kind:method"
 to the computed value plus the certificate digest and the tool version;
 entries from other versions are ignored on load and rewritten on store.
 Each certificate is kept beside it by content, as `<digest>.json`,
-written before its entry.  `solve` answers from the cache only when
+written before its entry and under the same lock (`ResultCache.put`).  `solve` answers from the cache only when
 `ResultCache.certificate` accepts the stored file: its bytes hash to
 the entry's digest, it parses (canonical form), it names the requested
 grid and kind, holds as many vertices as the stored value, credits a
@@ -262,31 +262,31 @@ class ResultCache:
             return None
         return cert
 
-    def store(self, cert: Certificate) -> str:
-        """Write `cert` as `<digest>.json` and return its digest."""
-        text = cert.to_json()
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        self.directory.mkdir(parents=True, exist_ok=True)
-        _replace(self.directory / f"{digest}.json", text)
-        return digest
-
-    def put(self, n: int, m: int, kind: DominationKind, method: str, value: int, digest: str) -> None:
-        """Store one entry.  An exclusive lock on a sibling file spans the
-        whole read-modify-write, so concurrent writers lose no entries.
+    def put(self, cert: Certificate, method: str) -> str:
+        """Store `cert` as `<digest>.json` and the entry naming it under its
+        grid, kind, `method` and cardinality; return the digest.  An
+        exclusive lock on a sibling file spans the certificate write and the
+        whole read-modify-write of `results.json`, so concurrent writers
+        lose no entries and none removes a certificate another has just
+        written.
 
         The certificate of a replaced entry, or of an entry another tool
         version wrote, is removed once no entry names it; a reader that
         then finds it missing has an ordinary miss."""
+        text = cert.to_json()
+        digest = hashlib.sha256(text.encode()).hexdigest()
         self.directory.mkdir(parents=True, exist_ok=True)
         with open(self.directory / "results.json.lock", "a") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)
+            _replace(self.directory / f"{digest}.json", text)
             doc = self._read()
             entries = self._live(doc)
-            key = self.key(n, m, kind, method)
-            entries[key] = {"value": value, "digest": digest, "version": TOOL_VERSION}
+            key = self.key(cert.n, cert.m, cert.kind, method)
+            entries[key] = {"value": cert.cardinality, "digest": digest, "version": TOOL_VERSION}
             _replace(self.path, json.dumps(entries, indent=2, sort_keys=True) + "\n")
             named = {e["digest"] for e in entries.values()}
             for entry in doc.values():
                 old = entry.get("digest") if isinstance(entry, dict) else None
                 if isinstance(old, str) and _DIGEST.fullmatch(old) and old not in named:
                     (self.directory / f"{old}.json").unlink(missing_ok=True)
+        return digest

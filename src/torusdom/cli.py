@@ -45,7 +45,7 @@ from .errors import (
     TorusDomError,
     UnsupportedClassError,
 )
-from .formulas import known_value, upper_bounds
+from .formulas import upper_bounds
 from .solve import SolveMethod, canonical, solve, solve_within_reach
 from .torus import make_torus
 from .validate import (
@@ -181,8 +181,7 @@ def cmd_solve(args: SimpleNamespace) -> int:
     if args.out:
         cert.save(args.out)
     if hit is None and not args.canonical:
-        digest = cache.store(cert)
-        cache.put(args.n, args.m, kind, args.method, value, digest)
+        digest = cache.put(cert, args.method)
     else:
         digest = cert.digest()
     print(f"{_GAMMA[kind]}({args.n},{args.m}) = {value} [method {method}, {elapsed:.3f}s]")
@@ -202,7 +201,7 @@ def cmd_table(args: SimpleNamespace) -> int:
     for n in args.n:
         for m in args.m:
             report = upper_bounds(n, m, kind)
-            formula = known_value(n, m, kind)
+            formula = report.exact
             best_up = report.best_upper()
             try:
                 res = solve_within_reach(n, m, kind)
@@ -241,7 +240,6 @@ def cmd_audit(args: SimpleNamespace) -> int:
         print(f"  {'ok  ' if ok else 'FAIL'} {name}: {detail}")
 
     print(f"audit {n}x{m}")
-    # each catalog witness is built once here and bounds the solves below
     witnesses: dict[DominationKind, ConstructionResult] = {}
     for kind in (DominationKind.TOTAL, DominationKind.PAIRED):
         try:
@@ -257,9 +255,8 @@ def cmd_audit(args: SimpleNamespace) -> int:
     values: dict[DominationKind, int] = {}
     cache = ResultCache(args.cache_dir)
     for kind in (DominationKind.PLAIN, DominationKind.TOTAL, DominationKind.PAIRED):
-        catalog = witnesses.get(DominationKind.TOTAL if kind is DominationKind.PLAIN else kind)
         try:
-            res = solve_within_reach(n, m, kind, catalog.vertex_set if catalog else None)
+            res = solve_within_reach(n, m, kind)
         except (InstanceTooLargeError, ConstructionInvalidError) as exc:
             record(f"solve:{kind.value}", True, f"skipped ({exc})")
             continue
@@ -285,7 +282,7 @@ def cmd_audit(args: SimpleNamespace) -> int:
             cert = Certificate.from_vertex_set(
                 res.certificate, kind, f"solver:{res.method.value}"
             )
-            cache.put(n, m, kind, "auto", value, cache.store(cert))
+            cache.put(cert, "auto")
 
     chain = (DominationKind.PLAIN, DominationKind.TOTAL, DominationKind.PAIRED)
     for low, high in zip(chain, chain[1:]):

@@ -6,8 +6,9 @@ Four engines, each certifying optimality a different way:
   slot order, so minimality is exhaustive and certificates canonical);
 * the cyclic row-sweep dynamic program of `rowsweep` for plain, total
   and paired sets, within a width cap (`_check_dp_width`) and bounded by
-  the catalog witness; bounded at nm/4 total members, it also finds the
-  efficient total dominating sets (`find_efficient_tds`);
+  the catalog's best upper bound (`formulas.upper_bounds`), so no
+  witness is built for it; bounded at nm/4 total members, it also finds
+  the efficient total dominating sets (`find_efficient_tds`);
 * a branch-and-bound over disjoint adjacent pairs for paired sets on
   grids too wide for the DP, with iterative deepening from the
   parity-rounded degree bound so exhaustion below the answer is the
@@ -17,8 +18,11 @@ Four engines, each certifying optimality a different way:
   distance 4 or more, than pairs left; the root bans every image of a
   failed edge under the automorphisms fixing slot 0.  Neither prune
   moves its certificates;
-* a sandwich shortcut when a validated pattern meets the degree bound,
-  which certifies without any search.
+* a sandwich shortcut when the catalog's bound meets the degree bound,
+  which certifies with the validated pattern and no search.
+
+A catalog witness is built only where its set may be the answer: as the
+sandwich certificate and as the pair search's incumbent.
 
 Every certificate an engine builds, the row sweep's included, is checked
 by `_result` before it is returned.  The auto order is written once, in
@@ -41,7 +45,7 @@ from typing import Iterator, Optional
 
 from .construct import best_upper_witness
 from .errors import CertificateError, InstanceTooLargeError, InvalidInputError
-from .formulas import lower_bound_paired, lower_bound_regular
+from .formulas import lower_bound_paired, lower_bound_regular, upper_bounds
 from .rowsweep import _row_sweep
 from .torus import TorusDims, TorusGraph, VertexSet, make_torus, set_slots
 from .validate import DominationKind, has_perfect_matching, is_efficient_total, satisfies
@@ -151,11 +155,6 @@ def solve_oracle(n: int, m: int, kind: DominationKind) -> SolveResult:
     raise InvalidInputError(f"no {kind.value} dominating set exists on {n}x{m}")
 
 
-def _witness_upper(n: int, m: int, kind: DominationKind) -> VertexSet:
-    catalog_kind = DominationKind.PAIRED if kind is DominationKind.PAIRED else DominationKind.TOTAL
-    return best_upper_witness(n, m, catalog_kind).vertex_set
-
-
 def _check_dp_width(n: int, m: int, kind: DominationKind) -> None:
     cap = PAIRED_WIDTH_CAP if kind is DominationKind.PAIRED else PROFILE_WIDTH_CAP
     if min(n, m) > cap:
@@ -163,29 +162,24 @@ def _check_dp_width(n: int, m: int, kind: DominationKind) -> None:
         raise InstanceTooLargeError(f"{engine} width cap is {cap}, got {min(n, m)}")
 
 
-def _dp(
-    n: int, m: int, kind: DominationKind, t0: float, witness: Optional[VertexSet] = None
-) -> SolveResult:
-    """The row sweep within the DP's width cap, bounded by the catalog
-    witness (built here, after the cap is checked, unless given), which it
-    must reach."""
+def _dp(n: int, m: int, kind: DominationKind, t0: float) -> SolveResult:
+    """The row sweep within the DP's width cap and the order cap, bounded
+    by the catalog's best upper bound, which it must reach."""
     _check_dp_width(n, m, kind)
-    ub = len(_witness_upper(n, m, kind) if witness is None else witness)
+    TorusDims(n, m)  # the order cap, before any row is swept
+    ub = upper_bounds(n, m, kind).best_upper()
     found = _row_sweep(n, m, kind, ub)
     if found is None:
-        raise CertificateError(f"no {kind.value} set on {n}x{m} within the witness size {ub}")
+        raise CertificateError(f"no {kind.value} set on {n}x{m} within the catalog bound {ub}")
     return _result(make_torus(n, m), *found, kind, SolveMethod.PROFILE_DP, t0)
 
 
-def solve_profile_dp(
-    n: int, m: int, kind: DominationKind, witness: Optional[VertexSet] = None
-) -> SolveResult:
+def solve_profile_dp(n: int, m: int, kind: DominationKind) -> SolveResult:
     """Exact plain or total minimum via the row-sweep DP
-    (`rowsweep._row_sweep`), bounded by the total catalog witness (built
-    unless given)."""
+    (`rowsweep._row_sweep`), bounded by the total catalog's number."""
     if kind not in (DominationKind.PLAIN, DominationKind.TOTAL):
         raise InvalidInputError(f"profile DP handles plain or total, got {kind.value}")
-    return _dp(n, m, kind, time.perf_counter(), witness)
+    return _dp(n, m, kind, time.perf_counter())
 
 
 def solve_paired_dp(n: int, m: int) -> SolveResult:
@@ -372,52 +366,42 @@ def enumerate_total_dominating_sets(n: int, m: int, max_size: int) -> Iterator[V
         yield VertexSet(g.dims, mask)
 
 
-def _auto(
-    n: int, m: int, kind: DominationKind, reach: bool, witness: Optional[VertexSet] = None
-) -> SolveResult:
-    """The one auto order.  Plain and total sets: the oracle up to
-    ORACLE_AUTO_CAP vertices, then the sandwich certificate (total only),
-    then the DP.  Paired sets: the sandwich, then the oracle, then the
-    pair search.  The catalog witness (the total one for plain sets) is
-    built at most once, unless the caller gives it, and bounds whichever
-    engine runs.
+def _auto(n: int, m: int, kind: DominationKind, reach: bool) -> SolveResult:
+    """The one auto order, for every kind: the oracle for plain and total
+    sets up to ORACLE_AUTO_CAP vertices; the sandwich for total and paired
+    sets, when the catalog's bound meets the degree bound; the oracle for
+    paired sets up to ORACLE_AUTO_CAP vertices; then the pair search for
+    paired sets, with the catalog witness as its incumbent, or the DP,
+    bounded by the catalog's number.
 
     With `reach`, the DP runs only up to width REACH_DP_WIDTH and the pair
     search only up to REACH_PAIRED_ORDER vertices, the limits `table` and
     `audit` keep; both contain the oracle's range.  A step beyond its
-    limit raises InstanceTooLargeError naming it, for plain sets before
-    any witness is built.
+    limit raises InstanceTooLargeError naming it, before any witness is
+    built for it.
     """
     _check_kind(kind)
     t0 = time.perf_counter()
-    g = make_torus(n, m)
-    order = g.dims.order
+    order = TorusDims(n, m).order  # the order cap, before any torus is built
     paired = kind is DominationKind.PAIRED
-    if paired:
-        beyond = reach and order > REACH_PAIRED_ORDER
-        limit = f"pair-search limit is {REACH_PAIRED_ORDER} vertices, got {order}"
-    else:
-        beyond = reach and min(n, m) > REACH_DP_WIDTH
-        limit = f"DP width limit is {REACH_DP_WIDTH}, got {min(n, m)}"
     if not paired and order <= ORACLE_AUTO_CAP:
         return solve_oracle(n, m, kind)
-    if kind is DominationKind.PLAIN:
-        if beyond:
-            raise InstanceTooLargeError(limit)
-        return solve_profile_dp(n, m, kind, witness)
-    if witness is None:
-        witness = _witness_upper(n, m, kind)
-    # the sandwich: a witness at the degree bound (even when paired) is optimal
+    # the sandwich: a catalog set at the degree bound (even when paired) is optimal
     lo = lower_bound_paired(n, m) if paired else lower_bound_regular(n, m)
-    if len(witness) == lo:
-        return _result(g, lo, witness, kind, SolveMethod.SANDWICH, t0)
+    if kind is not DominationKind.PLAIN and upper_bounds(n, m, kind).best_upper() == lo:
+        witness = best_upper_witness(n, m, kind).vertex_set
+        return _result(make_torus(n, m), lo, witness, kind, SolveMethod.SANDWICH, t0)
     if paired and order <= ORACLE_AUTO_CAP:
         return solve_oracle(n, m, kind)
-    if beyond:
-        raise InstanceTooLargeError(limit)
     if paired:
-        return _paired_search(n, m, witness, t0)
-    return _dp(n, m, kind, t0, witness)
+        if reach and order > REACH_PAIRED_ORDER:
+            raise InstanceTooLargeError(
+                f"pair-search limit is {REACH_PAIRED_ORDER} vertices, got {order}"
+            )
+        return _paired_search(n, m, best_upper_witness(n, m, kind).vertex_set, t0)
+    if reach and min(n, m) > REACH_DP_WIDTH:
+        raise InstanceTooLargeError(f"DP width limit is {REACH_DP_WIDTH}, got {min(n, m)}")
+    return _dp(n, m, kind, t0)
 
 
 def solve(
@@ -439,13 +423,10 @@ def solve(
     return _auto(n, m, kind, reach=False)
 
 
-def solve_within_reach(
-    n: int, m: int, kind: DominationKind, witness: Optional[VertexSet] = None
-) -> SolveResult:
+def solve_within_reach(n: int, m: int, kind: DominationKind) -> SolveResult:
     """`solve(n, m, kind)` within the limits that `table` and `audit` keep
-    (`_auto` with its reach checked), bounded by `witness` when given: the
-    catalog witness of (n, m), total for plain and total sets."""
-    return _auto(n, m, kind, reach=True, witness=witness)
+    (`_auto` with its reach checked)."""
+    return _auto(n, m, kind, reach=True)
 
 
 def canonical(res: SolveResult) -> SolveResult:

@@ -1,7 +1,9 @@
+import importlib
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from torusdom.certificates import (
     default_cache_dir,
     load_certificate,
 )
+from torusdom.construct import best_upper_witness
 from torusdom.errors import CertificateError
 from torusdom.solve import solve_oracle
 from torusdom.torus import TorusDims, VertexSet
@@ -28,6 +31,10 @@ def _sample() -> Certificate:
         TorusDims(4, 4), [(1, 1), (1, 2), (3, 3), (3, 4)]
     )
     return Certificate.from_vertex_set(vs, PAIRED, "block-tiling")
+
+
+def _total_sample() -> Certificate:
+    return Certificate.from_vertex_set(_sample().vertex_set(), TOTAL, "block-tiling")
 
 
 def test_roundtrip_is_byte_exact():
@@ -138,25 +145,27 @@ def test_load_missing_file(tmp_path):
 
 def test_cache_roundtrip(tmp_path):
     cache = ResultCache(tmp_path)
-    assert cache.get(8, 4, TOTAL, "auto") is None
-    cache.put(8, 4, TOTAL, "auto", 8, "d" * 64)
-    assert cache.get(8, 4, TOTAL, "auto") == (8, "d" * 64)
+    cert = _total_sample()
+    assert cache.get(4, 4, TOTAL, "auto") is None
+    digest = cache.put(cert, "auto")
+    assert digest == cert.digest()
+    assert (tmp_path / f"{digest}.json").read_text() == cert.to_json()
+    assert cache.get(4, 4, TOTAL, "auto") == (4, digest)
     # Distinct methods and kinds key separately.
-    assert cache.get(8, 4, TOTAL, "dp") is None
-    assert cache.get(8, 4, PAIRED, "auto") is None
-    cache.put(8, 4, PAIRED, "auto", 8, "e" * 64)
-    assert cache.get(8, 4, TOTAL, "auto") == (8, "d" * 64)
+    assert cache.get(4, 4, TOTAL, "dp") is None
+    assert cache.get(4, 4, PAIRED, "auto") is None
+    cache.put(_sample(), "auto")
+    assert cache.get(4, 4, TOTAL, "auto") == (4, digest)
 
 
 def test_a_certificate_that_two_entries_name_survives_replacing_one(tmp_path):
     cache = ResultCache(tmp_path)
-    shared = cache.store(_sample())
-    other = cache.store(Certificate.from_vertex_set(_sample().vertex_set(), PAIRED, "oracle"))
-    cache.put(4, 4, PAIRED, "auto", 4, shared)
-    cache.put(4, 4, PAIRED, "dp", 4, shared)
-    cache.put(4, 4, PAIRED, "auto", 4, other)
+    shared = cache.put(_sample(), "auto")
+    cache.put(_sample(), "dp")
+    oracle = Certificate.from_vertex_set(_sample().vertex_set(), PAIRED, "oracle")
+    other = cache.put(oracle, "auto")
     assert (tmp_path / f"{shared}.json").exists()
-    cache.put(4, 4, PAIRED, "dp", 4, other)
+    cache.put(oracle, "dp")
     assert sorted(p.name for p in tmp_path.glob("*.json")) == sorted([f"{other}.json", "results.json"])
 
 
@@ -176,7 +185,7 @@ def test_cache_drops_entries_from_other_versions(tmp_path):
     cache.path.parent.mkdir(parents=True, exist_ok=True)
     cache.path.write_text(json.dumps(stale))
     assert cache.get(4, 4, TOTAL, "auto") is None
-    cache.put(4, 4, TOTAL, "auto", 4, "a" * 64)
+    cache.put(_total_sample(), "auto")
     doc = json.loads(cache.path.read_text())
     entry = doc[ResultCache.key(4, 4, TOTAL, "auto")]
     assert entry["version"] == TOOL_VERSION
@@ -185,11 +194,10 @@ def test_cache_drops_entries_from_other_versions(tmp_path):
 
 def test_a_dropped_entry_of_another_version_takes_its_certificate_along(tmp_path):
     cache = ResultCache(tmp_path)
-    live = cache.store(_sample())
     key = ResultCache.key(4, 4, PAIRED, "auto")
     cache.path.write_text(json.dumps({key: {"value": 4, "digest": "a" * 64, "version": "0.0.9"}}))
     (tmp_path / f"{'a' * 64}.json").write_text("{}")
-    cache.put(4, 4, PAIRED, "auto", 4, live)
+    live = cache.put(_sample(), "auto")
     assert sorted(p.name for p in tmp_path.glob("*.json")) == sorted([f"{live}.json", "results.json"])
 
 
@@ -199,11 +207,13 @@ def test_cache_keeps_every_key_of_concurrent_writers(tmp_path):
     # before the other's store and drop that key
     script = (
         "import sys\n"
-        "from torusdom.certificates import ResultCache\n"
+        "from torusdom.certificates import Certificate, ResultCache\n"
+        "from torusdom.construct import best_upper_witness\n"
         "from torusdom.validate import DominationKind\n"
-        "cache = ResultCache(sys.argv[1])\n"
+        "cache, m = ResultCache(sys.argv[1]), int(sys.argv[2])\n"
         "for n in range(3, 43):\n"
-        "    cache.put(n, int(sys.argv[2]), DominationKind.TOTAL, 'auto', n, 'd' * 64)\n"
+        "    vs = best_upper_witness(n, m, DominationKind.TOTAL).vertex_set\n"
+        "    cache.put(Certificate.from_vertex_set(vs, DominationKind.TOTAL, 'x'), 'auto')\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     writers = [
@@ -216,7 +226,41 @@ def test_cache_keeps_every_key_of_concurrent_writers(tmp_path):
     assert len(stored) == 80
     for n in range(3, 43):
         for m in (3, 4):
-            assert cache.get(n, m, TOTAL, "auto") == (n, "d" * 64)
+            vs = best_upper_witness(n, m, TOTAL).vertex_set
+            cert = Certificate.from_vertex_set(vs, TOTAL, "x")
+            assert cache.get(n, m, TOTAL, "auto") == (cert.cardinality, cert.digest())
+            assert cache.certificate(n, m, TOTAL, cert.cardinality, cert.digest(), ["x"]) == cert
+
+
+def test_a_concurrent_writer_keeps_the_certificate_another_has_just_written(
+    monkeypatch, tmp_path
+):
+    # an entry of another tool version names the certificate that writer A
+    # is about to store; writer B, which drops that entry, runs as soon as
+    # A has written the file, and must not remove it from under A's entry
+    cache = ResultCache(tmp_path)
+    mine = _total_sample()
+    stale = {"value": 4, "digest": mine.digest(), "version": "0.0.9"}
+    cache.path.write_text(json.dumps({ResultCache.key(4, 4, PAIRED, "dp"): stale}))
+    module = importlib.import_module("torusdom.certificates")
+    real_replace = module._replace
+    writers = []
+
+    def replace_then_race(path, text):
+        real_replace(path, text)
+        if path.name == f"{mine.digest()}.json" and not writers:
+            writers.append(threading.Thread(target=ResultCache(tmp_path).put, args=(_sample(), "auto")))
+            writers[0].start()
+            writers[0].join(timeout=0.5)  # B waits here while A holds the lock
+
+    monkeypatch.setattr(module, "_replace", replace_then_race)
+    cache.put(mine, "auto")
+    writers[0].join(timeout=60)
+    assert not writers[0].is_alive()
+    live = ResultCache._live(json.loads(cache.path.read_text()))
+    assert sorted(live) == ["4x4:paired:auto", "4x4:total:auto"]
+    assert all((tmp_path / f"{entry['digest']}.json").exists() for entry in live.values())
+    assert cache.certificate(4, 4, TOTAL, 4, mine.digest(), ["block-tiling"]) == mine
 
 
 @pytest.mark.parametrize("stored", [b"{ not json", b"\xff\xfe"], ids=["not json", "not utf-8"])
@@ -225,8 +269,9 @@ def test_cache_survives_corrupted_store(tmp_path, stored):
     cache.path.parent.mkdir(parents=True, exist_ok=True)
     cache.path.write_bytes(stored)
     assert cache.get(3, 3, TOTAL, "auto") is None
-    cache.put(3, 3, TOTAL, "auto", 3, "b" * 64)
-    assert cache.get(3, 3, TOTAL, "auto") == (3, "b" * 64)
+    cert = Certificate.from_vertex_set(solve_oracle(3, 3, TOTAL).certificate, TOTAL, "oracle")
+    digest = cache.put(cert, "auto")
+    assert cache.get(3, 3, TOTAL, "auto") == (3, digest)
 
 
 def test_default_cache_dir_honors_xdg(monkeypatch, tmp_path):

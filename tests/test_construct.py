@@ -355,10 +355,11 @@ def test_kept_cascade_steps_build_what_a_cold_cascade_builds(step):
 
 
 def test_a_table_shares_cascade_steps_across_its_cells(monkeypatch, capsys):
-    # 3..12 x 3..8 rounds its 30 cascade cells up to 8x8 and 12x8, which
-    # share their steps: 33 projections where one cascade per cell made 100.
-    # The 6x5 and 5x6 cells share one projection of the corner-trimmed 7x5
-    # pattern to 6x5, so no projection repeats
+    # 3..12 x 3..8 builds a paired witness only where its set may be the
+    # answer: the sandwich cells and the pair search's incumbents, up to 36
+    # vertices.  Their cascades round up to 8x8 and share their steps, and
+    # the 6x5 and 5x6 cells share one projection of the corner-trimmed 7x5
+    # pattern to 6x5: 13 projections, none repeated
     module = importlib.import_module("torusdom.construct")
     real, steps = module.project_column, []
 
@@ -370,7 +371,7 @@ def test_a_table_shares_cascade_steps_across_its_cells(monkeypatch, capsys):
     _clear_cascade_steps()
     assert main(["table", "--n", "3..12", "--m", "3..8", "--kind", "paired"]) == 0
     capsys.readouterr()
-    assert (len(steps), len(set(steps))) == (33, 33)
+    assert (len(steps), len(set(steps))) == (13, 13)
 
 
 def test_construction_checks_run_under_optimize(tmp_path):

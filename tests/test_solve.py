@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from torusdom import rowsweep
+from torusdom.construct import best_upper_witness
 from torusdom.errors import CertificateError, InstanceTooLargeError, InvalidInputError
 from torusdom.formulas import (
     gamma_p_m3,
@@ -18,6 +19,7 @@ from torusdom.formulas import (
     gamma_tp_m4,
     lower_bound_paired,
     lower_bound_regular,
+    upper_bounds,
 )
 from torusdom.solve import (
     ORACLE_AUTO_CAP,
@@ -290,8 +292,7 @@ def test_dp_certificates_do_not_depend_on_call_order():
 def test_a_transposed_sweep_reads_the_kept_sweep(n, m, kind):
     # m x n after n x m reuses the finished sweep, and must return the
     # set a cold call on m x n builds: the first set, transposed
-    solve_module = importlib.import_module("torusdom.solve")
-    bound = len(solve_module._witness_upper(n, m, kind))
+    bound = upper_bounds(n, m, kind).best_upper()
     _clear_row_sweep_setup()
     cold = rowsweep._row_sweep(m, n, kind, bound)
     _clear_row_sweep_setup()
@@ -310,7 +311,7 @@ def test_paired_search_certificates_match_recorded():
     solve_module = importlib.import_module("torusdom.solve")
     path = Path(__file__).parent / "data" / "paired_search_certificates.json"
     for n, m, value, mask in json.loads(path.read_text()):
-        witness = solve_module._witness_upper(n, m, PAIRED)
+        witness = best_upper_witness(n, m, PAIRED).vertex_set
         res = solve_module._paired_search(n, m, witness, 0.0)
         assert (res.value, hex(res.certificate.mask)) == (value, mask), (n, m)
 
@@ -321,7 +322,7 @@ def test_paired_search_agrees_with_paired_dp():
     for n, m in itertools.product(range(5, 9), repeat=2):
         if min(n, m) > 6:
             continue
-        witness = solve_module._witness_upper(n, m, PAIRED)
+        witness = best_upper_witness(n, m, PAIRED).vertex_set
         found = solve_module._paired_search(n, m, witness, 0.0).value
         assert found == solve_paired_dp(n, m).value, (n, m)
         if found > lower_bound_paired(n, m):
@@ -626,11 +627,10 @@ def test_closing_masks_match_the_per_state_definition(width, kind):
 @pytest.mark.parametrize("kind", [PLAIN, TOTAL, PAIRED])
 @pytest.mark.parametrize("width", [3, 4, 5])
 def test_row_sweep_matches_a_prune_free_sweep(width, kind):
-    solve_module = importlib.import_module("torusdom.solve")
     longest = 10 if width < 5 else 8 if kind is not PAIRED else 6
     for length in range(width, longest + 1):
         n, m = (length, width) if length % 2 else (width, length)
-        bound = len(solve_module._witness_upper(n, m, kind))
+        bound = upper_bounds(n, m, kind).best_upper()
         value, found = rowsweep._row_sweep(n, m, kind, bound)
         assert satisfies(make_torus(n, m), found, kind), (n, m)
         assert (value, found.mask) == _reference_sweep(n, m, kind, bound), (n, m)
@@ -707,6 +707,34 @@ def test_solve_within_reach_answers_as_solve_does():
                 expected = (res.value, res.method, res.certificate.mask)
                 assert (bounded.value, bounded.method, bounded.certificate.mask) == expected
     assert answered == 180 - 65  # table leaves 65 of these cells blank
+
+
+def test_the_catalog_witness_has_the_catalogs_size_on_the_dps_domain():
+    # the sandwich is decided by the catalog's number and certified by the
+    # witness, and the DP's seeds are capped by that number, so the two must
+    # agree wherever the DP runs
+    for kind, widest in ((TOTAL, 8), (PAIRED, 6)):
+        for width in range(3, widest + 1):
+            for length in range(3, 31):
+                for n, m in ((length, width), (width, length)):
+                    built = len(best_upper_witness(n, m, kind).vertex_set)
+                    assert built == upper_bounds(n, m, kind).best_upper(), (n, m, kind)
+
+
+def test_a_witness_is_built_only_where_its_set_may_be_the_answer(monkeypatch):
+    def refuse(n, m, kind):
+        raise RuntimeError(f"witness built for {kind.value} {n}x{m}")
+
+    monkeypatch.setattr(importlib.import_module("torusdom.solve"), "best_upper_witness", refuse)
+    assert solve(12, 5, PLAIN).method is SolveMethod.PROFILE_DP
+    assert solve(12, 5, TOTAL).method is SolveMethod.PROFILE_DP
+    assert solve(7, 5, PAIRED, "dp").method is SolveMethod.PROFILE_DP
+    with pytest.raises(InstanceTooLargeError, match="DP width limit"):
+        solve_within_reach(8, 6, TOTAL)
+    # the sandwich certificate and the pair search's incumbent are witnesses
+    for n, m, kind in ((8, 8, TOTAL), (7, 7, PAIRED)):
+        with pytest.raises(RuntimeError, match=f"witness built for {kind.value} {n}x{m}"):
+            solve(n, m, kind)
 
 
 def _brute_total_sets(n, m, max_size):
