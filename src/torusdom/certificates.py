@@ -111,7 +111,7 @@ class Certificate:
     def from_json(cls, text: str) -> "Certificate":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
             raise CertificateError(f"not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise CertificateError("certificate document must be an object")
@@ -206,7 +206,7 @@ class ResultCache:
         """`results.json` as stored, every entry kept, or {} when unreadable."""
         try:
             doc = json.loads(self.path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+        except (OSError, ValueError, RecursionError):
             return {}
         return doc if isinstance(doc, dict) else {}
 

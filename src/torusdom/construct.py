@@ -10,7 +10,7 @@ silently patched.  A builder or transformation that breaks its own
 invariant (overlapping parts, a projection that loses domination)
 raises CertificateError, which best_upper_witness does not catch, also
 under python -O.  best_upper_witness builds each applicable family,
-once each, and returns the smallest one that validates.
+once each, and keeps the smallest one that validates for the process.
 
 Also provides the set transformation used to move witnesses between
 grid sizes: single-row projection (with matching repair for paired sets,
@@ -28,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .errors import (
     CertificateError,
@@ -291,12 +291,12 @@ def _kept_projection(d: VertexSet, kind: DominationKind) -> VertexSet:
 
 
 def construct_bound_pattern(n: int, m: int, kind: DominationKind) -> ConstructionResult:
-    """Best covering pattern for grids with both sides >= 5.
-
-    Asks `class_bound` for the stated orientation, then the transpose;
-    the first that names a family builds it, drops its removed cells,
-    turns it back if transposed and holds it to the catalog's size.
-    Residue pairs with no family fall back to the projection cascade.
+    """Best covering pattern for grids with both sides >= 5: the block
+    tiling when both are 0 (mod 4), else the residue-class family that
+    `class_bound` names for the stated orientation or the transpose,
+    built, stripped of its removed cells, turned back if transposed and
+    held to the catalog's size.  A class with no family raises
+    CongruenceError, as `construct_mod4` does outside its class.
     """
     if n < 5 or m < 5:
         raise InvalidDimensionsError(f"bound patterns need both sides >= 5, got {n}x{m}")
@@ -324,7 +324,7 @@ def construct_bound_pattern(n: int, m: int, kind: DominationKind) -> Constructio
         if rows != n:
             kept = {(j, i) for i, j in kept}
         return _finish(TorusDims(n, m), kept, size, kind, prov)
-    return _projection_cascade(n, m, kind)
+    raise CongruenceError(f"no {kind.value} pattern family for {n}x{m}")
 
 
 def _transposed(res: ConstructionResult) -> ConstructionResult:
@@ -415,32 +415,32 @@ def project_column(
     return repaired, added
 
 
+@functools.lru_cache(maxsize=None)
 def best_upper_witness(n: int, m: int, kind: DominationKind) -> ConstructionResult:
     """Smallest validated pattern covering (n, m) for the given kind.
 
     Builds each applicable family once, skipping those whose builder
-    rejects its set (each validates through `_finish`) or needs a grid
-    above the order cap, and returns the smallest survivor (ties broken
-    by provenance name).  With both sides 0 (mod 4) the bound pattern is
-    the block tiling, and the cascade's zero-step copy of it loses the
-    name tie, so only the block tiling is built; the cascade is not
-    built again where the bound pattern already fell back to it.
+    rejects its set (each validates through `_finish`), names no family
+    for the grid's class or needs a grid above the order cap, and keeps
+    the smallest survivor (ties broken by provenance name) for the
+    process.  With both sides 0 (mod 4) the bound pattern is the block
+    tiling, and the cascade's zero-step copy of it loses the name tie,
+    so only the block tiling is built.
     """
     if kind not in (DominationKind.TOTAL, DominationKind.PAIRED):
         raise InvalidInputError(f"no witness catalog for kind {kind.value}")
     TorusDims(n, m)  # a grid above the order cap is refused before any family
     found: list[ConstructionResult] = []
 
-    def attempt(build: Callable[..., ConstructionResult], *args) -> Optional[ConstructionResult]:
+    def attempt(build: Callable[..., ConstructionResult], *args) -> None:
         try:
             res = build(*args)
-        except (ConstructionInvalidError, InstanceTooLargeError):
+        except (ConstructionInvalidError, CongruenceError, InstanceTooLargeError):
             # a family that passes through a grid above the order cap, such
             # as the projection cascade's round-up to sides = 0 (mod 4), is
             # skipped like one that fails
-            return None
+            return
         found.append(dataclasses.replace(res, kind=kind))
-        return res
 
     if m == 3:
         attempt(construct_m3, n, kind)
@@ -453,9 +453,8 @@ def best_upper_witness(n: int, m: int, kind: DominationKind) -> ConstructionResu
     if n % 4 == 0 and m % 4 == 0:
         attempt(construct_mod4, n, m)
     elif n >= 5 and m >= 5:
-        named = attempt(construct_bound_pattern, n, m, kind)
-        if named is None or named.provenance != "projection-cascade":
-            attempt(_projection_cascade, n, m, kind)
+        attempt(construct_bound_pattern, n, m, kind)
+        attempt(_projection_cascade, n, m, kind)
     if not found:
         raise ConstructionInvalidError(f"no valid {kind.value} pattern covers {n}x{m}")
     return min(found, key=lambda res: (res.claimed_cardinality, res.provenance))

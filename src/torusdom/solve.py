@@ -22,13 +22,15 @@ Four engines, each certifying optimality a different way:
   which certifies with the validated pattern and no search.
 
 A catalog witness is built only where its set may be the answer: as the
-sandwich certificate and as the pair search's incumbent.
+sandwich certificate and as the pair search's incumbent; the process
+keeps it (`best_upper_witness`), so `audit` builds each one once.
 
 Every certificate an engine builds, the row sweep's included, is checked
-by `_result` before it is returned.  The auto order is written once, in
-`_auto`: `solve`, `solve_paired` and `solve_within_reach` (which keeps
-`table` and `audit` within their limits) enter it, and `canonical` picks
-the certificate `solve --canonical` emits.
+by `_result` before it is returned, and so is the rotated set that
+`canonical` picks for `solve --canonical`.  The auto order is written
+once, in `_auto`: `solve`, `solve_paired` and `solve_within_reach`
+(which keeps `table` and `audit` within their limits) enter it.  No
+engine reads a clock: `cli.cmd_solve` times each request itself.
 
 All engines are deterministic: ties break toward the first candidate
 in sorted order, and repeated runs return identical certificates.
@@ -39,8 +41,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .construct import best_upper_witness
@@ -72,20 +73,14 @@ class SolveResult:
     certificate: VertexSet
     kind: DominationKind
     method: SolveMethod
-    elapsed: float
 
 
 def _result(
-    g: TorusGraph,
-    value: int,
-    certificate: VertexSet,
-    kind: DominationKind,
-    method: SolveMethod,
-    t0: float,
+    g: TorusGraph, value: int, certificate: VertexSet, kind: DominationKind, method: SolveMethod
 ) -> SolveResult:
     if len(certificate) != value or not satisfies(g, certificate, kind):
         raise CertificateError(f"{method.value} {kind.value} certificate of value {value} is invalid")
-    return SolveResult(value, certificate, kind, method, time.perf_counter() - t0)
+    return SolveResult(value, certificate, kind, method)
 
 
 def _check_kind(kind: DominationKind) -> None:
@@ -102,7 +97,6 @@ def solve_oracle(n: int, m: int, kind: DominationKind) -> SolveResult:
     first valid one is returned, which makes the certificate the
     lexicographically least optimum overall.
     """
-    t0 = time.perf_counter()
     _check_kind(kind)
     g = make_torus(n, m)
     order = g.dims.order
@@ -151,7 +145,7 @@ def solve_oracle(n: int, m: int, kind: DominationKind) -> SolveResult:
         found = search(1, k - 1, cover[0], [0])
         if found is not None:
             cert = VertexSet.from_slots(g.dims, found)
-            return _result(g, k, cert, kind, SolveMethod.ORACLE, t0)
+            return _result(g, k, cert, kind, SolveMethod.ORACLE)
     raise InvalidInputError(f"no {kind.value} dominating set exists on {n}x{m}")
 
 
@@ -162,7 +156,7 @@ def _check_dp_width(n: int, m: int, kind: DominationKind) -> None:
         raise InstanceTooLargeError(f"{engine} width cap is {cap}, got {min(n, m)}")
 
 
-def _dp(n: int, m: int, kind: DominationKind, t0: float) -> SolveResult:
+def _dp(n: int, m: int, kind: DominationKind) -> SolveResult:
     """The row sweep within the DP's width cap and the order cap, bounded
     by the catalog's best upper bound, which it must reach."""
     _check_dp_width(n, m, kind)
@@ -171,7 +165,7 @@ def _dp(n: int, m: int, kind: DominationKind, t0: float) -> SolveResult:
     found = _row_sweep(n, m, kind, ub)
     if found is None:
         raise CertificateError(f"no {kind.value} set on {n}x{m} within the catalog bound {ub}")
-    return _result(make_torus(n, m), *found, kind, SolveMethod.PROFILE_DP, t0)
+    return _result(make_torus(n, m), *found, kind, SolveMethod.PROFILE_DP)
 
 
 def solve_profile_dp(n: int, m: int, kind: DominationKind) -> SolveResult:
@@ -179,12 +173,12 @@ def solve_profile_dp(n: int, m: int, kind: DominationKind) -> SolveResult:
     (`rowsweep._row_sweep`), bounded by the total catalog's number."""
     if kind not in (DominationKind.PLAIN, DominationKind.TOTAL):
         raise InvalidInputError(f"profile DP handles plain or total, got {kind.value}")
-    return _dp(n, m, kind, time.perf_counter())
+    return _dp(n, m, kind)
 
 
 def solve_paired_dp(n: int, m: int) -> SolveResult:
     """Exact paired minimum via the row-sweep DP (`rowsweep._row_sweep`)."""
-    return _dp(n, m, DominationKind.PAIRED, time.perf_counter())
+    return _dp(n, m, DominationKind.PAIRED)
 
 
 def _root_maps(n: int, m: int) -> list[list[int]]:
@@ -239,7 +233,7 @@ def _packing_exceeds(uncovered: int, reach: list[int], left: int) -> bool:
     return False
 
 
-def _paired_search(n: int, m: int, incumbent: VertexSet, t0: float) -> SolveResult:
+def _paired_search(n: int, m: int, incumbent: VertexSet) -> SolveResult:
     """Branch-and-bound over disjoint adjacent pairs, deepening from the
     parity-rounded degree bound; exhausting a level proves absence.
 
@@ -299,8 +293,8 @@ def _paired_search(n: int, m: int, incumbent: VertexSet, t0: float) -> SolveResu
         found = rec(g.full_mask, 0, k // 2, 0, True)
         if found is not None:
             cert = VertexSet(g.dims, found)
-            return _result(g, k, cert, DominationKind.PAIRED, SolveMethod.PAIRED_SEARCH, t0)
-    return _result(g, hi, incumbent, DominationKind.PAIRED, SolveMethod.PAIRED_SEARCH, t0)
+            return _result(g, k, cert, DominationKind.PAIRED, SolveMethod.PAIRED_SEARCH)
+    return _result(g, hi, incumbent, DominationKind.PAIRED, SolveMethod.PAIRED_SEARCH)
 
 
 def solve_paired(n: int, m: int) -> SolveResult:
@@ -315,7 +309,6 @@ def find_efficient_tds(n: int, m: int) -> Optional[VertexSet]:
     once, since each member dominates four; so this is the row sweep
     bounded at nm/4, within the DP's width cap.
     """
-    t0 = time.perf_counter()
     TorusDims(n, m)  # sides and order are checked before any row is swept
     if (n * m) % 4:
         return None
@@ -324,7 +317,7 @@ def find_efficient_tds(n: int, m: int) -> Optional[VertexSet]:
     if found is None:
         return None
     g = make_torus(n, m)
-    cert = _result(g, *found, DominationKind.TOTAL, SolveMethod.PROFILE_DP, t0).certificate
+    cert = _result(g, *found, DominationKind.TOTAL, SolveMethod.PROFILE_DP).certificate
     if not is_efficient_total(g, cert):
         raise CertificateError(f"row sweep on {n}x{m} built a set that is not efficient")
     return cert
@@ -381,7 +374,6 @@ def _auto(n: int, m: int, kind: DominationKind, reach: bool) -> SolveResult:
     built for it.
     """
     _check_kind(kind)
-    t0 = time.perf_counter()
     order = TorusDims(n, m).order  # the order cap, before any torus is built
     paired = kind is DominationKind.PAIRED
     if not paired and order <= ORACLE_AUTO_CAP:
@@ -390,7 +382,7 @@ def _auto(n: int, m: int, kind: DominationKind, reach: bool) -> SolveResult:
     lo = lower_bound_paired(n, m) if paired else lower_bound_regular(n, m)
     if kind is not DominationKind.PLAIN and upper_bounds(n, m, kind).best_upper() == lo:
         witness = best_upper_witness(n, m, kind).vertex_set
-        return _result(make_torus(n, m), lo, witness, kind, SolveMethod.SANDWICH, t0)
+        return _result(make_torus(n, m), lo, witness, kind, SolveMethod.SANDWICH)
     if paired and order <= ORACLE_AUTO_CAP:
         return solve_oracle(n, m, kind)
     if paired:
@@ -398,10 +390,10 @@ def _auto(n: int, m: int, kind: DominationKind, reach: bool) -> SolveResult:
             raise InstanceTooLargeError(
                 f"pair-search limit is {REACH_PAIRED_ORDER} vertices, got {order}"
             )
-        return _paired_search(n, m, best_upper_witness(n, m, kind).vertex_set, t0)
+        return _paired_search(n, m, best_upper_witness(n, m, kind).vertex_set)
     if reach and min(n, m) > REACH_DP_WIDTH:
         raise InstanceTooLargeError(f"DP width limit is {REACH_DP_WIDTH}, got {min(n, m)}")
-    return _dp(n, m, kind, t0)
+    return _dp(n, m, kind)
 
 
 def solve(
@@ -433,7 +425,8 @@ def canonical(res: SolveResult) -> SolveResult:
     """The result whose certificate `solve --canonical` emits: the
     oracle's, which is the lexicographically least optimum, up to
     ORACLE_CAP vertices (`res` itself when the oracle built it); beyond,
-    the least member of the rotation orbit of `res`'s certificate."""
+    the least member of the rotation orbit of `res`'s certificate,
+    checked by `_result` like every engine's set."""
     dims = res.certificate.dims
     if res.method is SolveMethod.ORACLE:
         return res
@@ -443,4 +436,4 @@ def canonical(res: SolveResult) -> SolveResult:
     # take a member there compete
     rotations = (res.certificate.rotated(1 - v.i, 1 - v.j) for v in res.certificate)
     least = min(rotations, key=lambda d: set_slots(d.mask))
-    return replace(res, certificate=least)
+    return _result(make_torus(dims.n, dims.m), res.value, least, res.kind, res.method)

@@ -3,7 +3,14 @@
 The acceptance suite (tests/test_acceptance.py) doubles as the release
 gate, so its outcome is echoed as one PASS/FAIL line per criterion at
 the end of every run that includes it.
+
+The process keeps every catalog witness it builds, and tests patch the
+builders, so each test starts with that cache empty.
 """
+
+import pytest
+
+from torusdom.construct import best_upper_witness
 
 _ACCEPTANCE_RESULTS: list[tuple[str, str]] = []
 
@@ -22,3 +29,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_line("acceptance criteria:")
     for name, verdict in _ACCEPTANCE_RESULTS:
         terminalreporter.write_line(f"  {verdict}  {name}")
+
+
+@pytest.fixture(autouse=True)
+def _fresh_witness_cache():
+    best_upper_witness.cache_clear()

@@ -263,7 +263,17 @@ def test_a_concurrent_writer_keeps_the_certificate_another_has_just_written(
     assert cache.certificate(4, 4, TOTAL, 4, mine.digest(), ["block-tiling"]) == mine
 
 
-@pytest.mark.parametrize("stored", [b"{ not json", b"\xff\xfe"], ids=["not json", "not utf-8"])
+@pytest.mark.parametrize(
+    "stored",
+    [
+        b"{ not json",
+        b"\xff\xfe",
+        b"[" * 200_000 + b"]" * 200_000,
+        # outside any entry, so a parser with no digit limit drops it too
+        b'{"junk": 1' + b"0" * 5000 + b"}",
+    ],
+    ids=["not json", "not utf-8", "nested", "long integer"],
+)
 def test_cache_survives_corrupted_store(tmp_path, stored):
     cache = ResultCache(tmp_path)
     cache.path.parent.mkdir(parents=True, exist_ok=True)

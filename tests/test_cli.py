@@ -15,6 +15,7 @@ import pytest
 from torusdom.certificates import TOOL_VERSION, Certificate, ResultCache, load_certificate
 from torusdom import cli, errors
 from torusdom.cli import build_parser, main
+from torusdom.construct import best_upper_witness
 from torusdom.errors import ConstructionInvalidError
 from torusdom.solve import find_efficient_tds, solve, solve_oracle
 from torusdom.validate import DominationKind
@@ -399,6 +400,27 @@ def test_verify_rejects_noncanonical_file(tmp_path, capsys):
     path.write_text(json.dumps(doc, indent=4) + "\n")
     assert main(["verify", str(path)]) == 1
     assert "canonical" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", ["nested", "long integer"])
+def test_verify_reports_json_the_parser_refuses(tmp_path, capsys, shape):
+    # deep nesting makes the parser raise RecursionError, and an integer
+    # past the interpreter's digit limit ValueError: each is one error line
+    path = tmp_path / "c.json"
+    if shape == "nested":
+        path.write_text("[" * 200_000 + "]" * 200_000)
+    else:
+        text = Certificate(5, 5, TOTAL, 1, (), "handmade").to_json()
+        path.write_text(text.replace('"cardinality": 1,', f'"cardinality": {"1" * 5001},'))
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if shape == "nested" or 0 < limit < 5001:
+        assert err[0].startswith("error: not valid JSON")
+    else:
+        # with no digit limit the cardinality parses, and fails as a structure
+        assert err[0].startswith("structural failure: cardinality")
 
 
 def test_verify_missing_file(capsys):
@@ -848,6 +870,15 @@ def test_audit_solves_each_kind_once_and_caches_that_result(monkeypatch, tmp_pat
         cert = Certificate.from_vertex_set(res.certificate, kind, f"solver:{res.method.value}")
         assert cache.get(9, 5, kind, "auto") == (res.value, cert.digest())
     assert cache.get(9, 5, PAIRED, "auto") is None
+
+
+@pytest.mark.parametrize("n, m, method", [(8, 8, "sandwich"), (5, 5, "paired-search")])
+def test_audit_builds_each_catalog_witness_once(n, m, method, tmp_path, capsys):
+    # the sandwich certifies with the catalog set and the pair search starts
+    # from it: each is the set audit built for its construction lines
+    assert main(["audit", "--n", str(n), "--m", str(m), "--cache-dir", str(tmp_path)]) == 0
+    assert f"via {method}" in capsys.readouterr().out
+    assert best_upper_witness.cache_info().misses == 2
 
 
 def test_audit_names_the_limit_behind_each_skip(tmp_path, capsys):

@@ -248,8 +248,11 @@ def test_bound_pattern_mod4_shortcut_rebadges_kind():
     assert res.claimed_cardinality == 16
 
 
-def test_bound_pattern_falls_back_to_cascade():
-    res = _valid(construct_bound_pattern(6, 7, PAIRED))
+def test_bound_pattern_refuses_a_class_with_no_family():
+    # 6x7 paired has no residue-class family; only the cascade covers it
+    with pytest.raises(CongruenceError):
+        construct_bound_pattern(6, 7, PAIRED)
+    res = best_upper_witness(6, 7, PAIRED)
     assert res.provenance == "projection-cascade"
     assert res.claimed_cardinality <= 4 * 2 * 2
 
@@ -267,7 +270,7 @@ def test_bound_pattern_cascade_bound_sweep():
             for kind in (TOTAL, PAIRED):
                 try:
                     res = _valid(construct_bound_pattern(n, m, kind))
-                except ConstructionInvalidError:
+                except (ConstructionInvalidError, CongruenceError):
                     continue
                 quota = 4 * ((n + 3) // 4) * ((m + 3) // 4)
                 assert res.claimed_cardinality <= quota
@@ -580,7 +583,7 @@ def test_best_upper_witness_is_the_least_family_built_directly():
                 for build in builds:
                     try:
                         res = build()
-                    except ConstructionInvalidError:
+                    except (ConstructionInvalidError, CongruenceError):
                         continue
                     direct.append((res.claimed_cardinality, res.provenance, res.vertex_set))
                 got = best_upper_witness(n, m, kind)
