@@ -49,7 +49,7 @@ from .errors import CertificateError, InstanceTooLargeError, InvalidInputError
 from .formulas import lower_bound_paired, lower_bound_regular, upper_bounds
 from .rowsweep import _row_sweep
 from .torus import TorusDims, TorusGraph, VertexSet, make_torus, set_slots
-from .validate import DominationKind, has_perfect_matching, is_efficient_total, satisfies
+from .validate import DominationKind, is_efficient_total, is_paired_dominating, satisfies
 
 ORACLE_CAP = 24
 ORACLE_AUTO_CAP = 20
@@ -114,7 +114,7 @@ def solve_oracle(n: int, m: int, kind: DominationKind) -> SolveResult:
         if left == 0:
             if covered != full:
                 return None
-            if paired and has_perfect_matching(g, VertexSet.from_slots(g.dims, chosen)) is None:
+            if paired and not is_paired_dominating(g, VertexSet.from_slots(g.dims, chosen)):
                 return None
             return list(chosen)
         uncovered = full & ~covered

@@ -10,7 +10,8 @@ can be shared, hashed and cached freely.
 A graph holds no table per slot, only three masks of the order's bits,
 so building one takes no time per vertex and caching it is cheap.  One
 slot's neighbours come from slot arithmetic (`TorusGraph.around`), and
-the neighbourhood of a whole set is four shifts of its mask
+a whole set's four direction images are four shifts of its mask
+(`TorusGraph.images`), whose union is its neighbourhood
 (`TorusGraph.neighbourhood`), so checking a set costs time and memory
 linear in the grid's order and the validators need no mask per vertex.
 Sets go to and from slot lists through one bit string (`set_slots`,
@@ -215,18 +216,24 @@ class TorusGraph:
             return s + m - order, s - m, a, b
         return s - m, a, b, s + m
 
-    def neighbourhood(self, mask: int) -> int:
-        """The slots with a neighbour in the mask: the ring of slots rotated
-        a row up and a row down, and each row shifted a column either way
-        with its end column wrapped round."""
+    def images(self, mask: int) -> tuple[int, int, int, int]:
+        """The slots whose neighbour a row up, a row down, a column left and
+        a column right is in the mask: the ring of slots rotated a row down
+        and a row up, and each row shifted a column right and left with its
+        end column wrapped round."""
         m, order, full = self.dims.m, self.dims.order, self.full_mask
         first, last = self._first_column, self._last_column
         return (
-            (mask << m | mask >> (order - m)) & full
-            | (mask >> m | mask << (order - m)) & full
-            | (mask & ~last) << 1 | (mask & last) >> (m - 1)
-            | (mask & ~first) >> 1 | (mask & first) << (m - 1)
+            (mask << m | mask >> (order - m)) & full,
+            (mask >> m | mask << (order - m)) & full,
+            (mask & ~last) << 1 | (mask & last) >> (m - 1),
+            (mask & ~first) >> 1 | (mask & first) << (m - 1),
         )
+
+    def neighbourhood(self, mask: int) -> int:
+        """The slots with a neighbour in the mask: the union of its images."""
+        up, down, left, right = self.images(mask)
+        return up | down | left | right
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted slot pairs, lexicographically ordered."""

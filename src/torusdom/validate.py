@@ -8,18 +8,22 @@ matching.  An efficient total dominating set hits every closed demand
 exactly once: each vertex of the graph has exactly one neighbour in the
 set.
 
-Every check runs in time linear in the grid's order and builds no mask
-per vertex: plain and total domination compare the set's neighbourhood,
-four shifts of its mask (`TorusGraph.neighbourhood`), with the full
-grid, the members are listed once from the mask's bits, and a member's
-neighbour slots come from slot arithmetic (`TorusGraph.around`), not
-from a table kept with the graph.
+No check builds a mask per vertex.  Plain and total domination run in
+time linear in the grid's order: they compare the set's neighbourhood,
+the union of its four images (`TorusGraph.images`, whole-mask shifts),
+with the full grid.  The paired check peels the forced pairs at mask
+level (`_peel`): a member with one neighbour left in the set must be
+matched to it, so each round takes all such leaves and their partners
+from the images of the members left, in a few dozen whole-mask
+operations, until no leaf is left or a member has no partner.  Only the
+core that is left, every member of it with two or more neighbours in
+it, goes to the blossom matcher.
 
 The subgraph a set induces is built for the blossom matcher in one
-place, `_induced_adj`, on member slots: the perfect-matching check here
-(which the exact oracle also asks) and the matching repair of
-`construct.project_column` both use it, and only the check turns the
-matched pairs into coordinates.  The check walks the subgraph's
+place, `_induced_adj`, on member slots: `has_perfect_matching` (which
+the paired check asks of a core) and the matching repair of
+`construct.project_column` both use it, and only `has_perfect_matching`
+turns the matched pairs into coordinates.  It walks the subgraph's
 components: it stops at the first of odd order, matches an isolated edge
 directly, and runs the matcher on each other component alone.
 """
@@ -171,8 +175,66 @@ def has_perfect_matching(g: TorusGraph, d: VertexSet) -> Optional[MatchingWitnes
     return witness
 
 
+def _two_or_more(a: int, b: int, c: int, e: int) -> int:
+    """The bits set in at least two of the four masks."""
+    return a & b | c & e | (a | b) & (c | e)
+
+
+def _peel(g: TorusGraph, mask: int) -> Optional[int]:
+    """The core left once the forced pairs of the subgraph induced by the
+    mask are matched, or None when the subgraph has no perfect matching.
+
+    A member with one neighbour left among the members, a leaf, must be
+    matched to it (the degree-one rule of Karp and Sipser).  Each round
+    takes every leaf at once from the four images of the members,
+    answers None if a member has no neighbour left or two leaves claim
+    one partner, and removes the leaves and their partners.  The core
+    left when no leaf is, every member with two or more neighbours in
+    it, has a perfect matching iff the mask has.  The peeled pairs are
+    kept as h, the left ends of row pairs, and v, the top ends of column
+    pairs, and checked to cover the peeled members exactly once.
+    """
+    images = g.images
+    rest = mask
+    h = v = 0
+    while True:
+        up, down, west, east = (x & rest for x in images(rest))
+        if rest & ~(up | down | west | east):
+            return None
+        leaves = (up ^ down ^ west ^ east) & ~_two_or_more(up, down, west, east)
+        if not leaves:
+            break
+        # each member next to a leaf is that leaf's partner: `below` holds
+        # the members a row below a leaf, `after` those a column right
+        below, above, after, before = (x & rest for x in images(leaves))
+        if _two_or_more(below, above, after, before):
+            return None
+        h |= leaves & east | before
+        v |= leaves & down | above
+        rest &= ~(leaves | below | above | after | before)
+    right, lower = images(h)[2], images(v)[0]
+    peeled = h | right | v | lower
+    counts = h.bit_count() + right.bit_count() + v.bit_count() + lower.bit_count()
+    if peeled != mask & ~rest or counts != peeled.bit_count():
+        raise CertificateError("peeled pairs do not match the peeled members once each")
+    return rest
+
+
+def _perfectly_matchable(g: TorusGraph, d: VertexSet) -> bool:
+    """True iff the subgraph induced by d has a perfect matching: the
+    forced pairs are peeled at mask level and only the core left goes to
+    `has_perfect_matching`."""
+    core = _peel(g, d.mask)
+    if core is None:
+        return False
+    return not core or has_perfect_matching(g, VertexSet(g.dims, core)) is not None
+
+
 def is_paired_dominating(g: TorusGraph, d: VertexSet) -> bool:
-    return is_dominating(g, d) and has_perfect_matching(g, d) is not None
+    """Even size, then domination, then a perfect matching of the
+    subgraph d induces (`_perfectly_matchable`)."""
+    _check_pair(g, d)
+    return len(d) % 2 == 0 and is_dominating(g, d) and _perfectly_matchable(g, d)
 
 
 def is_efficient_total(g: TorusGraph, d: VertexSet) -> bool:
@@ -189,7 +251,7 @@ def is_efficient_total(g: TorusGraph, d: VertexSet) -> bool:
         return False
     if len(d) % 2:
         raise CertificateError(f"efficient total set of odd size {len(d)}")
-    if has_perfect_matching(g, d) is None:
+    if not _perfectly_matchable(g, d):
         raise CertificateError("efficient total set without a perfect matching")
     # the members' neighbourhoods, four distinct slots each, partition the
     # grid iff they cover it and their sizes add up to its order

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from torusdom.certificates import Certificate
+from torusdom import cli
+from torusdom.certificates import Certificate, load_certificate
 from torusdom.construct import best_upper_witness, construct_bound_pattern
 from torusdom.errors import CertificateError, InvalidInputError
 from torusdom.matching import maximum_matching
@@ -24,6 +25,8 @@ from torusdom.validate import (
     is_total_dominating,
     satisfies,
     _induced_adj,
+    _peel,
+    _perfectly_matchable,
 )
 
 # every grid the kernel reference tests compare on
@@ -299,6 +302,112 @@ def test_even_component_without_perfect_matching(monkeypatch):
     d = _vs(g, [(1, 2), (2, 1), (2, 2), (2, 3)])
     assert has_perfect_matching(g, d) is None
     assert calls == [4]
+
+
+def _witness_probes(name):
+    """Each even witness of tests/data/witnesses.json, checked against its
+    digest, and three copies with two members removed, with their grid."""
+    path = Path(__file__).parent / "data" / "witnesses.json"
+    rng = random.Random(name)
+    for n, m, kind, _, size, digest in json.loads(path.read_text()):
+        if size % 2:
+            continue
+        d = best_upper_witness(n, m, DominationKind(kind)).vertex_set
+        assert hashlib.sha256(format(d.mask, "x").encode()).hexdigest() == digest, (n, m, kind)
+        g = make_torus(n, m)
+        members = set_slots(d.mask)
+        yield g, d
+        for _ in range(3):
+            yield g, VertexSet(g.dims, d.mask & ~sum(1 << s for s in rng.sample(members, 2)))
+
+
+def test_peel_verdict_equals_the_matcher_on_witnesses_and_probes():
+    outcomes = set()
+    for g, probe in _witness_probes("peel"):
+        verdict = _perfectly_matchable(g, probe)
+        assert verdict == (has_perfect_matching(g, probe) is not None), (g.dims, probe.pairs())
+        outcomes.add(verdict)
+    assert outcomes == {True, False}
+
+
+def test_peel_verdict_equals_the_matcher_on_every_even_set_of_the_four_by_four_torus():
+    g = make_torus(4, 4)
+    cores = set()
+    for mask in range(1 << 16):
+        if mask.bit_count() % 2:
+            continue
+        d = VertexSet(g.dims, mask)
+        assert _perfectly_matchable(g, d) == (has_perfect_matching(g, d) is not None), d.pairs()
+        core = _peel(g, mask)
+        cores.add(None if core is None else bool(core))
+    assert cores == {None, False, True}
+
+
+def test_peel_refuses_two_leaves_on_one_partner():
+    g = make_torus(6, 6)
+    # (2,1) and (2,3) hang off (2,2); the path (3,2)-(4,2)-(5,2) would peel
+    d = _vs(g, [(2, 1), (2, 2), (2, 3), (3, 2), (4, 2), (5, 2)])
+    assert _peel(g, d.mask) is None
+    assert has_perfect_matching(g, d) is None
+
+
+def test_peel_refuses_an_isolated_member():
+    g = make_torus(6, 6)
+    d = _vs(g, [(1, 1), (1, 2), (4, 4), (4, 6)])
+    assert _peel(g, d.mask) is None
+    # two paths of five: the first round peels their ends' pairs and
+    # leaves each middle member with no neighbour
+    paths = _vs(g, [(i, j) for i in (2, 5) for j in range(1, 6)])
+    assert _peel(g, paths.mask) is None
+    assert has_perfect_matching(g, paths) is None
+
+
+def test_peel_matches_a_path_across_the_wrap_whole():
+    g = make_torus(6, 6)
+    for path in ([(1, 5), (1, 6), (1, 1), (1, 2)], [(5, 3), (6, 3), (1, 3), (2, 3)]):
+        assert _peel(g, _vs(g, path).mask) == 0
+
+
+def test_peel_leaves_an_even_cycle_whole():
+    g = make_torus(6, 6)
+    for cycle in ([(1, j) for j in range(1, 7)], [(3, 3), (3, 4), (4, 3), (4, 4)]):
+        d = _vs(g, cycle)
+        assert _peel(g, d.mask) == d.mask
+
+
+@pytest.mark.parametrize("target,bad", [
+    # the leaves' column images swapped: each leaf claims the wrong partner
+    ([(1, 1), (1, 4)], lambda mask, up, down, west, east: (up, down, east, west)),
+    # the right partners of H come back with H in them: the ends overlap
+    ([(1, 1), (1, 3)], lambda mask, up, down, west, east: (up, down, west | mask, east)),
+    # the right partners of H come back two columns off: the ends miss a member
+    ([(1, 1), (1, 3)], lambda mask, up, down, west, east: (up, down, west << 2, east)),
+])
+def test_peel_raises_when_a_partner_mask_is_wrong(monkeypatch, target, bad):
+    g = make_torus(6, 6)
+    path = _vs(g, [(1, 1), (1, 2), (1, 3), (1, 4)])
+    target_mask = _vs(g, target).mask
+    real = TorusGraph.images
+
+    def images(self, mask):
+        found = real(self, mask)
+        return bad(mask, *found) if mask == target_mask else found
+
+    monkeypatch.setattr(TorusGraph, "images", images)
+    with pytest.raises(CertificateError):
+        _peel(g, path.mask)
+
+
+@pytest.mark.parametrize("name,matched", [("63x61-paired", 0), ("61x61-paired", 92)])
+def test_verify_matches_only_the_core(monkeypatch, name, matched):
+    calls = _counting_matcher(monkeypatch)
+    path = Path(__file__).resolve().parents[1] / "bench" / "data" / "certs" / f"{name}.json"
+    cert = load_certificate(path)
+    g, d = make_torus(cert.n, cert.m), cert.vertex_set()
+    assert _peel(g, d.mask).bit_count() == matched
+    assert cli.main(["verify", str(path)]) == 0
+    # the matcher sees each core member once and nothing else
+    assert sum(calls) == matched and (calls != []) == (matched > 0)
 
 
 def test_efficient_total_on_the_four_by_four_tile():
