@@ -2,16 +2,15 @@
 
 Implements the blossom-contraction augmenting-path algorithm on an
 adjacency-list graph over vertices ``0..len(adj)-1``, where V is the
-number of vertices it is given.  `validate.has_perfect_matching` passes
-one connected component at a time, and the paired check asks it only of
-the core its peel leaves, so V stays small there: 92 of the 1022
-members of the benchmark's 61x61 paired certificate reach the matcher,
-and none of its 62x61 or 63x61 ones.  The projection cascade's matching
-repair passes a whole set, about 1000 members on a 61x61 grid.  Each
-root's search resets O(V) state (``parent`` and ``base`` for every
-vertex, and the O(V) lists of `lca` and of each blossom), so a whole
-matching costs at least O(V^2) even when the induced subgraph is many
-small components; O(V^3) in the worst case.
+number of vertices it is given.  The paired check (`validate._matching`)
+runs it once on the whole core its peel leaves, so V stays small there:
+92 of the 1022 members of the benchmark's 61x61 paired certificate reach
+the matcher, and none of its 62x61 or 63x61 ones.  The projection
+cascade's matching repair passes a whole set, about 1000 members on a
+61x61 grid.  Each root's search resets O(V) state (``parent`` and
+``base`` for every vertex, and the O(V) lists of `lca` and of each
+blossom), so a whole matching costs at least O(V^2) even when the
+induced subgraph is many small components; O(V^3) in the worst case.
 """
 
 from __future__ import annotations

@@ -8,24 +8,25 @@ matching.  An efficient total dominating set hits every closed demand
 exactly once: each vertex of the graph has exactly one neighbour in the
 set.
 
-No check builds a mask per vertex.  Plain and total domination run in
-time linear in the grid's order: they compare the set's neighbourhood,
-the union of its four images (`TorusGraph.images`, whole-mask shifts),
-with the full grid.  The paired check peels the forced pairs at mask
-level (`_peel`): a member with one neighbour left in the set must be
-matched to it, so each round takes all such leaves and their partners
-from the images of the members left, in a few dozen whole-mask
-operations, until no leaf is left or a member has no partner.  Only the
-core that is left, every member of it with two or more neighbours in
-it, goes to the blossom matcher.
+No check builds a mask per vertex: each works on whole masks, the four
+images of the set (`TorusGraph.images`, whole-mask shifts), in time
+linear in the grid's order.  Plain and total domination compare their
+union, the set's neighbourhood, with the full grid.  Every count of
+neighbours comes from one bit-sliced counter, `_exactly`, which turns
+four images into the slots with exactly 0, 1, 2, 3 and 4 of them: the
+efficient check, the multiplicity histogram and per-slot counts read it,
+and so does the paired check's peel.
 
-The subgraph a set induces is built for the blossom matcher in one
-place, `_induced_adj`, on member slots: `has_perfect_matching` (which
-the paired check asks of a core) and the matching repair of
-`construct.project_column` both use it, and only `has_perfect_matching`
-turns the matched pairs into coordinates.  It walks the subgraph's
-components: it stops at the first of odd order, matches an isolated edge
-directly, and runs the matcher on each other component alone.
+The paired check (`_matching`) peels the forced pairs at mask level: a
+member with one neighbour left in the set must be matched to it, so each
+round takes all such leaves and their partners at once, until no leaf
+is left or a member has no partner.  Only the core left, every member of
+it with two or more neighbours in it, goes to the blossom matcher, whole
+and once, on the subgraph `_induced_adj` builds on member slots (the
+matching repair of `construct.project_column` uses it too).  The pairs
+are kept as two masks, the left ends of row pairs and the top ends of
+column pairs, and one mask check raises unless they cover the set once
+each.
 """
 
 from __future__ import annotations
@@ -52,18 +53,6 @@ class MatchingWitness:
 
     pairs: tuple[tuple[VertexId, VertexId], ...]
 
-    def check(self, g: TorusGraph, d: VertexSet) -> bool:
-        """True iff the pairs are disjoint grid edges inside d covering all of d."""
-        seen: set[int] = set()
-        for a, b in self.pairs:
-            sa, sb = g.dims.slot(a), g.dims.slot(b)
-            if sb not in g.around(sa):
-                return False
-            if sa in seen or sb in seen:
-                return False
-            seen.update((sa, sb))
-        return seen == set(set_slots(d.mask))
-
 
 @dataclass(frozen=True)
 class ColumnProfile:
@@ -87,24 +76,34 @@ def _check_pair(g: TorusGraph, d: VertexSet) -> None:
         raise InvalidInputError("set belongs to a different grid")
 
 
-def domination_multiplicity(g: TorusGraph, d: VertexSet) -> list[int]:
-    """For each slot, how many of its neighbours lie in d.
+def _exactly(a: int, b: int, c: int, e: int) -> tuple[int, int, int, int, int]:
+    """The bits set in exactly 0, 1, 2, 3 and 4 of the four masks.
 
-    One pass over four rotations of the membership bytes: the grid a row
-    up and a row down, and each row a column either way with its end
-    column wrapped round.
+    The sum of the four bits is ``ones + 2 twos + 4 fours``, each term
+    one mask of bits.  The bits set in none come as a complement, a
+    negative int: intersect it with a domain before counting its bits.
     """
+    ones = a ^ b ^ c ^ e
+    twos = (a & b) ^ (c & e) | (a ^ b) & (c ^ e)
+    fours = a & b & c & e
+    return ~(ones | twos | fours), ones & ~twos, twos & ~ones, ones & twos, fours
+
+
+def domination_multiplicity(g: TorusGraph, d: VertexSet) -> list[int]:
+    """For each slot, how many of its neighbours lie in d."""
     _check_pair(g, d)
-    m, order = g.dims.m, g.dims.order
-    inside = bytearray(order)
-    for s in set_slots(d.mask):
-        inside[s] = 1
-    rows = range(0, order, m)
-    above = inside[-m:] + inside[:-m]
-    below = inside[m:] + inside[:m]
-    before = b"".join(inside[r + m - 1 : r + m] + inside[r : r + m - 1] for r in rows)
-    after = b"".join(inside[r + 1 : r + m] + inside[r : r + 1] for r in rows)
-    return [a + b + c + e for a, b, c, e in zip(above, below, before, after)]
+    counts = [0] * g.dims.order
+    for k, exact in enumerate(_exactly(*g.images(d.mask))[1:], 1):
+        for s in set_slots(exact):
+            counts[s] = k
+    return counts
+
+
+def multiplicity_histogram(g: TorusGraph, d: VertexSet) -> list[int]:
+    """How many slots have exactly 0, 1, 2, 3 and 4 neighbours in d."""
+    _check_pair(g, d)
+    none, *more = _exactly(*g.images(d.mask))
+    return [(none & g.full_mask).bit_count()] + [x.bit_count() for x in more]
 
 
 def is_dominating(g: TorusGraph, d: VertexSet) -> bool:
@@ -127,62 +126,10 @@ def _induced_adj(g: TorusGraph, d: VertexSet) -> tuple[list[int], list[list[int]
     return slots, adj
 
 
-def has_perfect_matching(g: TorusGraph, d: VertexSet) -> Optional[MatchingWitness]:
-    """A perfect matching of the subgraph induced by d, or None.
-
-    Decided one connected component at a time, in order of lowest member.
-    A component of odd order ends the check, and an isolated edge is
-    matched directly; any other runs the blossom matcher on its members
-    in ascending order.  A search never leaves its root's component, so
-    the pairs are those of one matcher run over the whole subgraph.
-    """
-    _check_pair(g, d)
-    if len(d) % 2:
-        return None
-    slots, adj = _induced_adj(g, d)
-    mate = [-1] * len(slots)
-    seen = bytearray(len(slots))
-    for root in range(len(slots)):
-        if seen[root]:
-            continue
-        seen[root] = 1
-        comp = [root]
-        for v in comp:
-            for t in adj[v]:
-                if not seen[t]:
-                    seen[t] = 1
-                    comp.append(t)
-        if len(comp) % 2:
-            return None
-        if len(comp) == 2:
-            a, b = comp
-            mate[a], mate[b] = b, a
-            continue
-        comp.sort()
-        local = {v: k for k, v in enumerate(comp)}
-        sub = maximum_matching([[local[t] for t in adj[v]] for v in comp])
-        if -1 in sub:
-            return None
-        for v, k in zip(comp, sub):
-            mate[v] = comp[k]
-    vertex = g.dims.vertex
-    pairs = tuple(
-        (vertex(slots[k]), vertex(slots[mate[k]])) for k in range(len(slots)) if k < mate[k]
-    )
-    witness = MatchingWitness(pairs)
-    if not witness.check(g, d):
-        raise CertificateError("matcher output is not a perfect matching of the set")
-    return witness
-
-
-def _two_or_more(a: int, b: int, c: int, e: int) -> int:
-    """The bits set in at least two of the four masks."""
-    return a & b | c & e | (a | b) & (c | e)
-
-
-def _peel(g: TorusGraph, mask: int) -> Optional[int]:
-    """The core left once the forced pairs of the subgraph induced by the
-    mask are matched, or None when the subgraph has no perfect matching.
+def _matching(g: TorusGraph, mask: int) -> Optional[tuple[int, int]]:
+    """A perfect matching of the subgraph the mask induces, as h, the left
+    ends of its row pairs, and v, the top ends of its column pairs; or
+    None when it has none.
 
     A member with one neighbour left among the members, a leaf, must be
     matched to it (the degree-one rule of Karp and Sipser).  Each round
@@ -190,51 +137,64 @@ def _peel(g: TorusGraph, mask: int) -> Optional[int]:
     answers None if a member has no neighbour left or two leaves claim
     one partner, and removes the leaves and their partners.  The core
     left when no leaf is, every member with two or more neighbours in
-    it, has a perfect matching iff the mask has.  The peeled pairs are
-    kept as h, the left ends of row pairs, and v, the top ends of column
-    pairs, and checked to cover the peeled members exactly once.
+    it, has a perfect matching iff the mask has; the blossom matcher
+    decides it in one run.  The pairs, peeled and matched, must cover
+    the mask once each, or CertificateError is raised.
     """
     images = g.images
-    rest = mask
-    h = v = 0
+    rest, h, v = mask, 0, 0
     while True:
-        up, down, west, east = (x & rest for x in images(rest))
-        if rest & ~(up | down | west | east):
+        up, down, west, east = images(rest)
+        none, leaves = _exactly(up, down, west, east)[:2]
+        if rest & none:
             return None
-        leaves = (up ^ down ^ west ^ east) & ~_two_or_more(up, down, west, east)
+        leaves &= rest
         if not leaves:
             break
         # each member next to a leaf is that leaf's partner: `below` holds
         # the members a row below a leaf, `after` those a column right
         below, above, after, before = (x & rest for x in images(leaves))
-        if _two_or_more(below, above, after, before):
+        if any(_exactly(below, above, after, before)[2:]):
             return None
         h |= leaves & east | before
         v |= leaves & down | above
         rest &= ~(leaves | below | above | after | before)
+    if rest:
+        slots, adj = _induced_adj(g, VertexSet(g.dims, rest))
+        mate = maximum_matching(adj)
+        if -1 in mate:
+            return None
+        m, order = g.dims.m, g.dims.order
+        for a, k in zip(slots, mate):
+            if slots[k] == (a + 1 if (a + 1) % m else a + 1 - m):
+                h |= 1 << a
+            elif slots[k] == (a + m) % order:
+                v |= 1 << a
     right, lower = images(h)[2], images(v)[0]
-    peeled = h | right | v | lower
-    counts = h.bit_count() + right.bit_count() + v.bit_count() + lower.bit_count()
-    if peeled != mask & ~rest or counts != peeled.bit_count():
-        raise CertificateError("peeled pairs do not match the peeled members once each")
-    return rest
+    if not _exactly(h, right, v, lower)[1] == mask == h | right | v | lower:
+        raise CertificateError("matched pairs do not cover the set once each")
+    return h, v
 
 
-def _perfectly_matchable(g: TorusGraph, d: VertexSet) -> bool:
-    """True iff the subgraph induced by d has a perfect matching: the
-    forced pairs are peeled at mask level and only the core left goes to
-    `has_perfect_matching`."""
-    core = _peel(g, d.mask)
-    if core is None:
-        return False
-    return not core or has_perfect_matching(g, VertexSet(g.dims, core)) is not None
+def has_perfect_matching(g: TorusGraph, d: VertexSet) -> Optional[MatchingWitness]:
+    """A perfect matching of the subgraph induced by d, or None: the pairs
+    of `_matching`, each ordered by slot, in ascending order."""
+    _check_pair(g, d)
+    found = _matching(g, d.mask)
+    if found is None:
+        return None
+    h, v = found
+    m, order, vertex = g.dims.m, g.dims.order, g.dims.vertex
+    pairs = [tuple(sorted((s, s + 1 if (s + 1) % m else s + 1 - m))) for s in set_slots(h)]
+    pairs += [tuple(sorted((s, (s + m) % order))) for s in set_slots(v)]
+    return MatchingWitness(tuple((vertex(a), vertex(b)) for a, b in sorted(pairs)))
 
 
 def is_paired_dominating(g: TorusGraph, d: VertexSet) -> bool:
     """Even size, then domination, then a perfect matching of the
-    subgraph d induces (`_perfectly_matchable`)."""
+    subgraph d induces (`_matching`)."""
     _check_pair(g, d)
-    return len(d) % 2 == 0 and is_dominating(g, d) and _perfectly_matchable(g, d)
+    return len(d) % 2 == 0 and is_dominating(g, d) and _matching(g, d.mask) is not None
 
 
 def is_efficient_total(g: TorusGraph, d: VertexSet) -> bool:
@@ -246,12 +206,11 @@ def is_efficient_total(g: TorusGraph, d: VertexSet) -> bool:
     a failure raises CertificateError.
     """
     _check_pair(g, d)
-    counts = domination_multiplicity(g, d)
-    if any(c != 1 for c in counts):
+    if _exactly(*g.images(d.mask))[1] != g.full_mask:
         return False
     if len(d) % 2:
         raise CertificateError(f"efficient total set of odd size {len(d)}")
-    if not _perfectly_matchable(g, d):
+    if _matching(g, d.mask) is None:
         raise CertificateError("efficient total set without a perfect matching")
     # the members' neighbourhoods, four distinct slots each, partition the
     # grid iff they cover it and their sizes add up to its order
@@ -264,14 +223,9 @@ def column_profile(g: TorusGraph, d: VertexSet) -> ColumnProfile:
     """Row-load profile of a set on a width-3 grid."""
     _check_pair(g, d)
     n, m = g.dims.n, g.dims.m
-    loads = [0] * (n + 1)
-    for v in d:
-        loads[v.i] += 1
-    counts = [0] * (m + 1)
-    for i in range(1, n + 1):
-        counts[loads[i]] += 1
-    alpha = tuple(counts)
-    applicable = m == 3 and all(load <= 2 for load in loads[1:])
+    loads = [(d.mask >> r * m & (1 << m) - 1).bit_count() for r in range(n)]
+    alpha = tuple(loads.count(k) for k in range(m + 1))
+    applicable = m == 3 and max(loads) <= 2
     identity_ok = sum(alpha) == n
     if not applicable:
         return ColumnProfile(alpha, False, identity_ok, None, None)

@@ -3,6 +3,7 @@ import importlib
 import json
 import random
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,10 +13,10 @@ from torusdom.certificates import Certificate, load_certificate
 from torusdom.construct import best_upper_witness, construct_bound_pattern
 from torusdom.errors import CertificateError, InvalidInputError
 from torusdom.matching import maximum_matching
+from torusdom.solve import find_efficient_tds
 from torusdom.torus import TorusDims, TorusGraph, VertexId, VertexSet, make_torus, set_slots
 from torusdom.validate import (
     DominationKind,
-    MatchingWitness,
     column_profile,
     domination_multiplicity,
     has_perfect_matching,
@@ -24,9 +25,9 @@ from torusdom.validate import (
     is_paired_dominating,
     is_total_dominating,
     satisfies,
+    _exactly,
     _induced_adj,
-    _peel,
-    _perfectly_matchable,
+    _matching,
 )
 
 # every grid the kernel reference tests compare on
@@ -141,6 +142,55 @@ def test_multiplicity_counts_the_members_around_each_slot(n, m):
         ], (n, m, d.pairs())
 
 
+def _exact_by_slot(g, mask):
+    """The slots with exactly 0..4 neighbours in the mask, counted one
+    slot at a time through `TorusGraph.around`."""
+    exact = [0] * 5
+    for s in range(g.dims.order):
+        exact[sum(mask >> t & 1 for t in g.around(s))] |= 1 << s
+    return exact
+
+
+def _exact_masks(g, mask):
+    none, *more = _exactly(*g.images(mask))
+    return [none & g.full_mask] + more
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (3, 4), (4, 4)])
+def test_counter_matches_per_slot_counts_on_every_subset(n, m):
+    g = make_torus(n, m)
+    for mask in range(1 << g.dims.order):
+        assert _exact_masks(g, mask) == _exact_by_slot(g, mask), (n, m, mask)
+
+
+def test_counter_matches_per_slot_counts_on_random_sets():
+    rng = random.Random("counter")
+    for n in range(5, 10):
+        for m in range(5, 10):
+            g = make_torus(n, m)
+            for k in range(200):
+                mask = rng.getrandbits(g.dims.order)
+                for _ in range(k % 3):
+                    mask &= rng.getrandbits(g.dims.order)
+                assert _exact_masks(g, mask) == _exact_by_slot(g, mask), (n, m, mask)
+
+
+def test_verify_histogram_equals_the_per_slot_counts(tmp_path, capsys):
+    certs = Path(__file__).resolve().parents[1] / "bench" / "data" / "certs"
+    efficient = tmp_path / "efficient.json"
+    Certificate.from_vertex_set(find_efficient_tds(8, 8), DominationKind.TOTAL, "handmade").save(
+        efficient
+    )
+    for path in sorted(certs.glob("*.json")) + [efficient]:
+        cert = load_certificate(path)
+        counts = Counter(domination_multiplicity(make_torus(cert.n, cert.m), cert.vertex_set()))
+        expected = ", ".join(f"{k}x{counts[k]}" for k in sorted(counts))
+        assert cli.main(["verify", str(path)]) == 0
+        assert f"  multiplicity histogram (dominators x vertices): {expected}\n" in (
+            capsys.readouterr().out
+        ), path.name
+
+
 def test_induced_adjacency_keeps_the_edge_append_order():
     for n, m in SMALL_GRIDS:
         g = make_torus(n, m)
@@ -204,30 +254,6 @@ def test_perfect_matching_of_empty_set():
     assert w is not None and w.pairs == ()
 
 
-def test_matching_witness_check_rejects_bad_witnesses():
-    g = make_torus(4, 4)
-    d = _vs(g, [(1, 1), (1, 2), (2, 1), (2, 2)])
-    good = MatchingWitness(((VertexId(1, 1), VertexId(1, 2)),
-                            (VertexId(2, 1), VertexId(2, 2))))
-    assert good.check(g, d)
-    non_edge = MatchingWitness(((VertexId(1, 1), VertexId(2, 2)),
-                                (VertexId(1, 2), VertexId(2, 1))))
-    assert not non_edge.check(g, d)
-    overlap = MatchingWitness(((VertexId(1, 1), VertexId(1, 2)),
-                               (VertexId(1, 2), VertexId(2, 2))))
-    assert not overlap.check(g, d)
-    partial = MatchingWitness(((VertexId(1, 1), VertexId(1, 2)),))
-    assert not partial.check(g, d)
-
-
-def test_failed_matching_witness_raises(monkeypatch):
-    # the check must raise, not assert, so that it also runs under python -O
-    monkeypatch.setattr(MatchingWitness, "check", lambda self, g, d: False)
-    g = make_torus(4, 4)
-    with pytest.raises(CertificateError):
-        has_perfect_matching(g, _vs(g, [(1, 1), (1, 2)]))
-
-
 def _whole_subgraph_pairs(g, d):
     """The pairs of one matcher run over the whole induced subgraph, or None."""
     slots, adj = _induced_adj(g, d)
@@ -240,27 +266,79 @@ def _whole_subgraph_pairs(g, d):
     )
 
 
-def test_component_matching_pairs_equal_one_whole_subgraph_run():
-    path = Path(__file__).parent / "data" / "witnesses.json"
-    rng = random.Random("component matching")
-    outcomes = set()
-    for n, m, kind, _, size, digest in json.loads(path.read_text()):
-        if size % 2:
-            continue
-        d = best_upper_witness(n, m, DominationKind(kind)).vertex_set
-        assert hashlib.sha256(format(d.mask, "x").encode()).hexdigest() == digest, (n, m, kind)
-        g = make_torus(n, m)
-        members = set_slots(d.mask)
-        probes = [d] + [
-            VertexSet(g.dims, d.mask & ~sum(1 << s for s in rng.sample(members, 2)))
-            for _ in range(3)
-        ]
-        for probe in probes:
-            w = has_perfect_matching(g, probe)
-            expected = _whole_subgraph_pairs(g, probe)
-            assert (None if w is None else w.pairs) == expected, (n, m, kind, probe.pairs())
-            outcomes.add(w is None)
+def _pairs_cover(g, d, pairs):
+    """True iff the pairs are disjoint grid edges, each ordered by slot and
+    all in ascending order, whose ends are exactly the members of d."""
+    ends = []
+    for a, b in pairs:
+        sa, sb = g.dims.slot(a), g.dims.slot(b)
+        if sa >= sb or sb not in g.around(sa):
+            return False
+        ends += [sa, sb]
+    return list(pairs) == sorted(pairs) and sorted(ends) == set_slots(d.mask)
+
+
+def _check_pairs(g, d):
+    """Check the pairs of `has_perfect_matching` independently and its
+    verdict against one matcher run over the whole subgraph; the pairs."""
+    w = has_perfect_matching(g, d)
+    assert (w is None) == (_whole_subgraph_pairs(g, d) is None), (g.dims, d.pairs())
+    assert w is None or _pairs_cover(g, d, w.pairs), (g.dims, d.pairs(), w.pairs)
+    return None if w is None else w.pairs
+
+
+def _dominoes(g, rng, count):
+    """Up to ``count`` disjoint random grid edges, any of them across the
+    wrap, as one mask."""
+    mask = 0
+    for _ in range(count):
+        s = rng.randrange(g.dims.order)
+        t = rng.choice(g.around(s))
+        if not mask >> s & 1 and not mask >> t & 1:
+            mask |= 1 << s | 1 << t
+    return mask
+
+
+def test_matching_pairs_cover_random_sets_across_the_wrap():
+    rng = random.Random("matching pairs")
+    outcomes, wraps = set(), set()
+    for n in range(3, 9):
+        for m in range(3, 9):
+            g = make_torus(n, m)
+            for k in range(40):
+                mask = _dominoes(g, rng, 1 + k % (g.dims.order // 3))
+                if k % 4 == 1:
+                    mask |= rng.getrandbits(g.dims.order)
+                elif k % 4 == 2:
+                    mask ^= 1 << rng.randrange(g.dims.order)
+                pairs = _check_pairs(g, VertexSet(g.dims, mask))
+                outcomes.add(pairs is None)
+                # a pair across the wrap joins the first and last column or row
+                wraps.update("row" for a, b in pairs or () if b.j - a.j == m - 1)
+                wraps.update("column" for a, b in pairs or () if b.i - a.i == n - 1)
     assert outcomes == {True, False}
+    assert wraps == {"row", "column"}
+
+
+def test_failed_matching_witness_raises(monkeypatch):
+    # rows 1 and 3 of the 4x4 torus dominate it and induce two 4-cycles,
+    # so the whole set is the core the matcher gets; the check must
+    # raise, not assert, so that it also runs under python -O
+    g = make_torus(4, 4)
+    d = _vs(g, [(i, j) for i in (1, 3) for j in range(1, 5)])
+    assert is_paired_dominating(g, d)
+    validate = importlib.import_module("torusdom.validate")
+    for bad in (
+        # a non-edge: (1,1) with (1,3) and (1,2) with (1,4)
+        [2, 3, 0, 1, 5, 4, 7, 6],
+        # (1,2) in two pairs: (1,1)-(1,2) and (1,2)-(1,3)
+        [1, 2, 1, 0, 5, 4, 7, 6],
+        # (3,3) and (3,4) matched to themselves: the pairs miss them
+        [1, 0, 3, 2, 5, 4, 6, 7],
+    ):
+        monkeypatch.setattr(validate, "maximum_matching", lambda adj: list(bad))
+        with pytest.raises(CertificateError):
+            is_paired_dominating(g, d)
 
 
 def _counting_matcher(monkeypatch):
@@ -279,7 +357,7 @@ def test_odd_component_ends_the_check_before_any_matcher_call(monkeypatch):
     calls = _counting_matcher(monkeypatch)
     g = make_torus(8, 8)
     # a path of three, then a four-cycle that would need the matcher, then
-    # an isolated vertex: even in all, but the lowest component is odd
+    # an isolated vertex: even in all, but the peel refuses the isolated one
     d = _vs(g, [(1, 1), (1, 2), (1, 3), (3, 1), (3, 2), (4, 1), (4, 2), (6, 6)])
     assert has_perfect_matching(g, d) is None
     assert calls == []
@@ -290,7 +368,6 @@ def test_isolated_edges_match_without_the_matcher(monkeypatch):
     g = make_torus(8, 8)
     d = _vs(g, [(1, 1), (1, 2), (3, 4), (4, 4), (6, 8), (6, 1)])
     w = has_perfect_matching(g, d)
-    assert w is not None and w.check(g, d)
     assert w.pairs == _whole_subgraph_pairs(g, d)
     assert calls == []
 
@@ -298,10 +375,10 @@ def test_isolated_edges_match_without_the_matcher(monkeypatch):
 def test_even_component_without_perfect_matching(monkeypatch):
     calls = _counting_matcher(monkeypatch)
     g = make_torus(6, 6)
-    # K_{1,3}: a centre with three of its neighbours
+    # K_{1,3}: a centre with three of its neighbours, three leaves on one partner
     d = _vs(g, [(1, 2), (2, 1), (2, 2), (2, 3)])
     assert has_perfect_matching(g, d) is None
-    assert calls == [4]
+    assert calls == []
 
 
 def _witness_probes(name):
@@ -324,55 +401,65 @@ def _witness_probes(name):
 def test_peel_verdict_equals_the_matcher_on_witnesses_and_probes():
     outcomes = set()
     for g, probe in _witness_probes("peel"):
-        verdict = _perfectly_matchable(g, probe)
-        assert verdict == (has_perfect_matching(g, probe) is not None), (g.dims, probe.pairs())
-        outcomes.add(verdict)
+        outcomes.add(_check_pairs(g, probe) is None)
     assert outcomes == {True, False}
 
 
-def test_peel_verdict_equals_the_matcher_on_every_even_set_of_the_four_by_four_torus():
+def test_peel_verdict_equals_the_matcher_on_every_even_set_of_the_four_by_four_torus(monkeypatch):
+    calls = _counting_matcher(monkeypatch)
     g = make_torus(4, 4)
-    cores = set()
+    outcomes = set()
     for mask in range(1 << 16):
         if mask.bit_count() % 2:
             continue
-        d = VertexSet(g.dims, mask)
-        assert _perfectly_matchable(g, d) == (has_perfect_matching(g, d) is not None), d.pairs()
-        core = _peel(g, mask)
-        cores.add(None if core is None else bool(core))
-    assert cores == {None, False, True}
+        calls.clear()
+        found = _matching(g, mask)
+        assert (found is None) == (_whole_subgraph_pairs(g, VertexSet(g.dims, mask)) is None), mask
+        outcomes.add((found is None, calls != []))
+    # refused by the peel, matched by it alone, and a core left to the matcher
+    assert {(True, False), (False, False), (False, True)} <= outcomes
 
 
-def test_peel_refuses_two_leaves_on_one_partner():
+def test_peel_refuses_two_leaves_on_one_partner(monkeypatch):
+    calls = _counting_matcher(monkeypatch)
     g = make_torus(6, 6)
     # (2,1) and (2,3) hang off (2,2); the path (3,2)-(4,2)-(5,2) would peel
     d = _vs(g, [(2, 1), (2, 2), (2, 3), (3, 2), (4, 2), (5, 2)])
-    assert _peel(g, d.mask) is None
-    assert has_perfect_matching(g, d) is None
+    assert _matching(g, d.mask) is None
+    assert calls == []
 
 
-def test_peel_refuses_an_isolated_member():
+def test_peel_refuses_an_isolated_member(monkeypatch):
+    calls = _counting_matcher(monkeypatch)
     g = make_torus(6, 6)
     d = _vs(g, [(1, 1), (1, 2), (4, 4), (4, 6)])
-    assert _peel(g, d.mask) is None
+    assert _matching(g, d.mask) is None
     # two paths of five: the first round peels their ends' pairs and
     # leaves each middle member with no neighbour
     paths = _vs(g, [(i, j) for i in (2, 5) for j in range(1, 6)])
-    assert _peel(g, paths.mask) is None
-    assert has_perfect_matching(g, paths) is None
+    assert _matching(g, paths.mask) is None
+    assert calls == []
 
 
-def test_peel_matches_a_path_across_the_wrap_whole():
+def test_peel_matches_a_path_across_the_wrap_whole(monkeypatch):
+    calls = _counting_matcher(monkeypatch)
     g = make_torus(6, 6)
-    for path in ([(1, 5), (1, 6), (1, 1), (1, 2)], [(5, 3), (6, 3), (1, 3), (2, 3)]):
-        assert _peel(g, _vs(g, path).mask) == 0
+    # h holds the left ends of the row pairs, v the top ends of the column pairs
+    row = _vs(g, [(1, 5), (1, 6), (1, 1), (1, 2)])
+    assert _matching(g, row.mask) == (_vs(g, [(1, 5), (1, 1)]).mask, 0)
+    column = _vs(g, [(5, 3), (6, 3), (1, 3), (2, 3)])
+    assert _matching(g, column.mask) == (0, _vs(g, [(5, 3), (1, 3)]).mask)
+    assert calls == []
 
 
-def test_peel_leaves_an_even_cycle_whole():
+def test_peel_leaves_an_even_cycle_whole(monkeypatch):
+    calls = _counting_matcher(monkeypatch)
     g = make_torus(6, 6)
     for cycle in ([(1, j) for j in range(1, 7)], [(3, 3), (3, 4), (4, 3), (4, 4)]):
+        calls.clear()
         d = _vs(g, cycle)
-        assert _peel(g, d.mask) == d.mask
+        assert _matching(g, d.mask) is not None
+        assert calls == [len(d)]
 
 
 @pytest.mark.parametrize("target,bad", [
@@ -382,6 +469,8 @@ def test_peel_leaves_an_even_cycle_whole():
     ([(1, 1), (1, 3)], lambda mask, up, down, west, east: (up, down, west | mask, east)),
     # the right partners of H come back two columns off: the ends miss a member
     ([(1, 1), (1, 3)], lambda mask, up, down, west, east: (up, down, west << 2, east)),
+    # the right partners of H come back with (6,6) in them: an end leaves the set
+    ([(1, 1), (1, 3)], lambda mask, up, down, west, east: (up, down, west | 1 << 35, east)),
 ])
 def test_peel_raises_when_a_partner_mask_is_wrong(monkeypatch, target, bad):
     g = make_torus(6, 6)
@@ -395,19 +484,16 @@ def test_peel_raises_when_a_partner_mask_is_wrong(monkeypatch, target, bad):
 
     monkeypatch.setattr(TorusGraph, "images", images)
     with pytest.raises(CertificateError):
-        _peel(g, path.mask)
+        _matching(g, path.mask)
 
 
 @pytest.mark.parametrize("name,matched", [("63x61-paired", 0), ("61x61-paired", 92)])
 def test_verify_matches_only_the_core(monkeypatch, name, matched):
     calls = _counting_matcher(monkeypatch)
     path = Path(__file__).resolve().parents[1] / "bench" / "data" / "certs" / f"{name}.json"
-    cert = load_certificate(path)
-    g, d = make_torus(cert.n, cert.m), cert.vertex_set()
-    assert _peel(g, d.mask).bit_count() == matched
     assert cli.main(["verify", str(path)]) == 0
-    # the matcher sees each core member once and nothing else
-    assert sum(calls) == matched and (calls != []) == (matched > 0)
+    # the matcher sees the whole core once and nothing else
+    assert calls == ([matched] if matched else [])
 
 
 def test_efficient_total_on_the_four_by_four_tile():
